@@ -63,7 +63,7 @@ from .metrics import (
     metric_value,
     path_length,
 )
-from .networks import BinaryNetwork, WeightedNetwork, from_adjacency, load_network
+from .networks import BinaryNetwork, Network, WeightedNetwork, from_adjacency, load_network
 from .nullmodels import (
     PowerLawFit,
     SmallWorldResult,
@@ -72,8 +72,6 @@ from .nullmodels import (
     rewire_preserving_degree,
     sample_powerlaw,
     small_world,
-    small_world_omega,
-    small_world_sigma,
 )
 from .panels import (
     BandSpec,

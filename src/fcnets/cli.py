@@ -19,7 +19,7 @@ from .estimators import ESTIMATOR_NAMES, estimate, load_connection_matrix
 from .networks import load_network
 from .panels import load_timeseries
 from .pipeline import ConfigError, load_config, run_pipeline
-from .runtime import to_json, write_json
+from .runtime import to_json
 from .thresholding import apply_spec
 
 
@@ -159,9 +159,7 @@ def _cmd_compare(args):
 
 
 def _cmd_ergm(args):
-    g = load_network(args.infile)
-    if hasattr(g, "binary"):
-        g = g.binary()
+    g = load_network(args.infile).binary()
     terms = tuple(args.terms)
     fit = ergm.ergm_mple(g, terms)
     out = {
@@ -169,16 +167,12 @@ def _cmd_ergm(args):
         "theta": fit.theta,
         "standard_errors": fit.standard_errors,
         "pseudo_loglik": fit.pseudo_loglik,
-        "stats": ergm_stats_list(g, terms),
+        "stats": ergm.ergm_stats(g, terms).tolist(),
     }
     if args.simulate:
         nets = ergm.ergm_simulate(fit.model(), g.n, count=args.simulate, seed=args.seed)
-        out["simulated_stats"] = [ergm_stats_list(s, terms) for s in nets]
+        out["simulated_stats"] = [ergm.ergm_stats(s, terms).tolist() for s in nets]
     return out
-
-
-def ergm_stats_list(g, terms):
-    return ergm.ergm_stats(g, terms).tolist()
 
 
 def _cmd_twopart(args):
@@ -233,7 +227,6 @@ def build_parser():
 
     def add_common(p, seed=True):
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json"], default="json")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 

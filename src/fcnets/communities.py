@@ -11,12 +11,12 @@ and m the total edge weight. Weighted networks use weight fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import edge_betweenness
-from .networks import BinaryNetwork, WeightedNetwork
+from .metrics import components, edge_betweenness
+from .networks import Network
 from .runtime import derive_seed
 
 
@@ -46,12 +46,6 @@ class Partition:
         return [np.where(self.assignment == c)[0] for c in range(self.community_count)]
 
 
-def _edge_triples(g):
-    if isinstance(g, WeightedNetwork):
-        return [(a, b, w) for a, b, w in g.edges]
-    return [(a, b, 1.0) for a, b in g.edges]
-
-
 def modularity(g, assignment):
     """Evaluate Q for an assignment (array of community ids, one per node)."""
     a = np.asarray(assignment, dtype=int)
@@ -59,24 +53,22 @@ def modularity(g, assignment):
         raise ValueError(f"assignment covers {a.size} nodes, graph has {g.n}")
     if np.any(a < 0):
         raise ValueError("unassigned node (negative community id)")
-    triples = _edge_triples(g)
-    m = sum(w for _, _, w in triples)
+    w = g.edge_weights()
+    m = sum(w.tolist())
     if m == 0:
         return 0.0
     ncomm = int(a.max()) + 1
-    within = np.zeros(ncomm)
-    degsum = np.zeros(ncomm)
-    for i, j, w in triples:
-        if a[i] == a[j]:
-            within[a[i]] += w
-        degsum[a[i]] += w
-        degsum[a[j]] += w
+    ends = a[g.pairs]
+    same = ends[:, 0] == ends[:, 1]
+    # bincount adds in edge order, as a loop over the edges would
+    within = np.bincount(ends[same, 0], weights=w[same], minlength=ncomm)
+    degsum = np.bincount(ends.ravel(), weights=np.repeat(w, 2), minlength=ncomm)
     return float(np.sum(within / m - (degsum / (2 * m)) ** 2))
 
 
 def _neighbor_weights(g):
     nbrs = [dict() for _ in range(g.n)]
-    for a, b, w in _edge_triples(g):
+    for (a, b), w in zip(g.pairs.tolist(), g.edge_weights().tolist()):
         nbrs[a][b] = nbrs[a].get(b, 0.0) + w
         nbrs[b][a] = nbrs[b].get(a, 0.0) + w
     return nbrs
@@ -132,7 +124,7 @@ def louvain(g, seed=0):
     n0 = g.n
     assignment = np.arange(n0)
     nbrs = _neighbor_weights(g)
-    m = sum(w for _, _, w in _edge_triples(g))
+    m = sum(g.edge_weights().tolist())
     node_map = np.arange(n0)  # original node -> current supernode
     while True:
         n_cur = len(nbrs)
@@ -176,14 +168,9 @@ def girvan_newman(g, max_communities=None):
         raise ValueError("girvan_newman is bounded to n <= 500; use louvain for larger graphs")
     if g.edge_count == 0:
         raise ValueError("community detection needs at least one edge")
-    if isinstance(g, WeightedNetwork):
-        work = WeightedNetwork(g.n, list(g.edges))
-    else:
-        work = BinaryNetwork(g.n, list(g.edges))
+    work = g
 
     def comp_assignment(net):
-        from .metrics import components
-
         a = np.zeros(net.n, dtype=int)
         for cid, comp in enumerate(components(net)):
             a[comp] = cid
@@ -197,12 +184,8 @@ def girvan_newman(g, max_communities=None):
             break
         ebc = edge_betweenness(work)
         target = max(sorted(ebc), key=lambda e: (ebc[e], (-e[0], -e[1])))
-        if isinstance(work, WeightedNetwork):
-            keep = [(a, b, w) for a, b, w in work.edges if (a, b) != target]
-            work = WeightedNetwork(work.n, keep)
-        else:
-            keep = [e for e in work.edges if e != target]
-            work = BinaryNetwork(work.n, keep)
+        keep = np.any(work.pairs != target, axis=1)
+        work = Network(work.n, work.pairs[keep], None if work.weights is None else work.weights[keep])
         a = comp_assignment(work)
         ncomp_new = int(a.max()) + 1
         if ncomp_new != ncomp:
@@ -245,14 +228,11 @@ def cartography(g, assignment, hub_z=HUB_Z, nonhub_cuts=NONHUB_P_CUTS, hub_cuts=
         raise ValueError("assignment does not cover all nodes")
     n = g.n
     ncomm = int(a.max()) + 1
-    pairs = [(e[0], e[1]) for e in g.edges]
-    deg = np.zeros(n)
+    i, j = g.pairs.T
+    deg = g.degrees().astype(float)
     k_im = np.zeros((n, ncomm))
-    for i, j in pairs:
-        deg[i] += 1
-        deg[j] += 1
-        k_im[i, a[j]] += 1
-        k_im[j, a[i]] += 1
+    np.add.at(k_im, (i, a[j]), 1.0)
+    np.add.at(k_im, (j, a[i]), 1.0)
     within = k_im[np.arange(n), a]
     z = np.zeros(n)
     degen = np.zeros(n, dtype=bool)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import BinaryNetwork
+from .networks import Network
 from .runtime import rng_for
 
 TERM_NAMES = ("edges", "two_stars", "triangles")
@@ -55,7 +55,7 @@ def ergm_stats(network, terms=TERM_NAMES):
     out = []
     for t in terms:
         if t == "edges":
-            out.append(float(len(network.edges)))
+            out.append(float(network.edge_count))
         elif t == "two_stars":
             out.append(float(np.sum(k * (k - 1) / 2)))
         else:
@@ -134,7 +134,7 @@ def ergm_mple(network, terms=TERM_NAMES, max_iter=100, tol=1e-8):
     separation (coefficients diverging) or non-convergence.
     """
     terms = _check_terms(terms)
-    m = len(network.edges)
+    m = network.edge_count
     total = network.n * (network.n - 1) // 2
     if m == 0 or m == total:
         raise ValueError("graph is empty or complete; pseudolikelihood is degenerate")
@@ -223,7 +223,7 @@ def ergm_simulate(
             raise ValueError("start network has wrong node count")
         adj = start.adjacency().astype(bool)
         degrees = adj.sum(axis=0).astype(int)
-        edge_count = len(start.edges)
+        edge_count = start.edge_count
     max_edges = n * (n - 1) // 2
     pinned = 0
 
@@ -263,9 +263,7 @@ def ergm_simulate(
         for _ in range(thin):
             step()
         ii, jj = np.nonzero(np.triu(adj, 1))
-        samples.append(
-            BinaryNetwork(n, list(zip(ii.tolist(), jj.tolist())), meta={"model": "ergm"})
-        )
+        samples.append(Network(n, np.column_stack((ii, jj)), meta={"model": "ergm"}))
     return samples
 
 

@@ -8,7 +8,6 @@ returns a ConnectionMatrix with exact symmetry and a zero diagonal.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 

@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .estimators import CORRELATION_MEASURES
 from .panels import fisher_z
 from .runtime import rng_for
+from .thresholding import _bh_adjust
 
 
 def _edge_index(n):
@@ -81,16 +84,6 @@ class EdgeTestResult:
         iu, ju = _edge_index(self.n)
         mask = ~self.undefined & (self.q < alpha)
         return list(zip(iu[mask].tolist(), ju[mask].tolist()))
-
-
-def _bh_adjust(p):
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    scaled = p[order] * m / np.arange(1, m + 1)
-    q = np.minimum.accumulate(scaled[::-1])[::-1]
-    out = np.empty(m)
-    out[order] = np.minimum(q, 1.0)
-    return out
 
 
 def edgewise_compare(group_a, group_b, correction="bh-fdr"):
@@ -158,25 +151,63 @@ def _supra_mask(t, threshold, alternative):
     raise ValueError(f"unknown alternative {alternative!r}")
 
 
-def _node_components(n, iu, ju, mask):
-    """Edge lists of connected components of the supra-threshold graph."""
-    parent = list(range(n))
+def _node_components(n, iu, ju, masks):
+    """Connected components of the supra-threshold graph of each mask row.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    All rows are solved in one call: row p's graph lives on nodes
+    p*n .. p*n + n - 1 of one block-diagonal graph. Returns the row, edge
+    index and component label of every supra-threshold edge.
+    """
+    rows, edges = np.nonzero(masks)
+    a, b = rows * n + iu[edges], rows * n + ju[edges]
+    size = len(masks) * n
+    graph = csr_matrix((np.ones(edges.size), (a, b)), shape=(size, size))
+    return rows, edges, connected_components(graph, directed=False)[1][a]
 
-    edges = np.where(mask)[0]
-    for e in edges:
-        ra, rb = find(int(iu[e])), find(int(ju[e]))
-        if ra != rb:
-            parent[ra] = rb
-    comps = {}
-    for e in edges:
-        comps.setdefault(find(int(iu[e])), []).append(int(e))
-    return list(comps.values())
+
+_SPC_MIN_CLUSTER_EDGES = 2  # a lone edge with no pairwise neighbor is not a cluster
+
+
+def _edge_clusters_pairwise(iu, ju, masks, node_adj):
+    """Clusters of supra-threshold edges under the pairwise-neighbor rule.
+
+    Edges (a, b) and (c, d) of one mask row are neighbors iff one endpoint
+    matching makes both ends equal-or-adjacent: (a~c or a=c) and (b~d or
+    b=d), or the swapped matching. All rows are solved in one call; returns
+    the row, edge index and cluster label of every supra-threshold edge.
+    """
+    rows, edges = np.nonzero(masks)
+    near = np.asarray(node_adj, dtype=bool) | np.eye(len(node_adj), dtype=bool)
+    starts = np.searchsorted(rows, np.arange(len(masks) + 1))
+    xs, ys = [], []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        a, b = iu[edges[lo:hi]], ju[edges[lo:hi]]
+        linked = (near[np.ix_(a, a)] & near[np.ix_(b, b)]) | (near[np.ix_(a, b)] & near[np.ix_(b, a)])
+        x, y = np.nonzero(linked)
+        xs.append(x + lo)
+        ys.append(y + lo)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    graph = csr_matrix((np.ones(x.size), (x, y)), shape=(edges.size, edges.size))
+    return rows, edges, connected_components(graph, directed=False)[1]
+
+
+def _cluster_lists(edges, labels, min_edges):
+    """Edge lists (ascending) of the clusters of one row with >= min_edges edges."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    parts = np.split(edges[order], bounds) if edges.size else []
+    return [part.tolist() for part in parts if part.size >= min_edges]
+
+
+def _max_cluster_sizes(rows, labels, row_count, min_edges):
+    """Edge count of each row's largest cluster with >= min_edges edges, else 0."""
+    sizes = np.bincount(labels)
+    label_row = np.zeros(sizes.size, dtype=int)
+    label_row[labels] = rows
+    keep = sizes >= min_edges
+    out = np.zeros(row_count)
+    np.maximum.at(out, label_row[keep], sizes[keep])
+    return out
 
 
 def _permutation_labels(n_a, n_total, permutations, seed, tag):
@@ -205,15 +236,14 @@ def nbs(group_a, group_b, t_threshold, permutations=1000, seed=0, alternative="t
     n_a, n_total = len(group_a), X.shape[0]
     obs_labels = np.zeros((1, n_total), dtype=bool)
     obs_labels[0, :n_a] = True
-    t_obs = _t_for_labels(X, obs_labels)[0][0]
-    comps = _node_components(n, iu, ju, _supra_mask(t_obs, t_threshold, alternative))
+    t_obs = _t_for_labels(X, obs_labels)[0]
+    _, edges, comp = _node_components(n, iu, ju, _supra_mask(t_obs, t_threshold, alternative))
+    comps = _cluster_lists(edges, comp, 1)
     comps.sort(key=lambda c: (-len(c), c))
     labels = _permutation_labels(n_a, n_total, permutations, seed, "nbs_perm")
     t_perm = _t_for_labels(X, labels)[0]
-    null_max = np.zeros(permutations)
-    for p in range(permutations):
-        pc = _node_components(n, iu, ju, _supra_mask(t_perm[p], t_threshold, alternative))
-        null_max[p] = max((len(c) for c in pc), default=0)
+    rows, _, comp = _node_components(n, iu, ju, _supra_mask(t_perm, t_threshold, alternative))
+    null_max = _max_cluster_sizes(rows, comp, permutations, 1)
     sizes = [len(c) for c in comps]
     fwe = [float((np.sum(null_max >= s) + 1) / (permutations + 1)) for s in sizes]
     clusters = [[(int(iu[e]), int(ju[e])) for e in sorted(c)] for c in comps]
@@ -237,46 +267,6 @@ def adjacency_from_coordinates(coordinates, radius):
     d = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
     adj = (d > 0) & (d <= radius)
     return adj
-
-
-def _edge_clusters_pairwise(iu, ju, mask, node_adj, min_cluster_edges=2):
-    """Clusters of supra-threshold edges under the pairwise-neighbor rule.
-
-    Edges (a, b) and (c, d) are neighbors iff one endpoint matching makes
-    both ends equal-or-adjacent: (a~c or a=c) and (b~d or b=d), or the
-    swapped matching. Clusters below min_cluster_edges (lone edges with no
-    pairwise neighbor) are discarded.
-    """
-    edges = np.where(mask)[0]
-    m = edges.size
-    if m == 0:
-        return []
-    a = iu[edges]
-    b = ju[edges]
-
-    def near(u, v):
-        return u == v or bool(node_adj[u, v])
-
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in range(m):
-        for y in range(x + 1, m):
-            direct = near(a[x], a[y]) and near(b[x], b[y])
-            swapped = near(a[x], b[y]) and near(b[x], a[y])
-            if direct or swapped:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-    groups = {}
-    for x in range(m):
-        groups.setdefault(find(x), []).append(int(edges[x]))
-    return [sorted(v) for v in groups.values() if len(v) >= min_cluster_edges]
 
 
 def spc(
@@ -309,19 +299,18 @@ def spc(
     n_a, n_total = len(group_a), X.shape[0]
     obs_labels = np.zeros((1, n_total), dtype=bool)
     obs_labels[0, :n_a] = True
-    t_obs = _t_for_labels(X, obs_labels)[0][0]
-    obs_clusters = _edge_clusters_pairwise(
+    t_obs = _t_for_labels(X, obs_labels)[0]
+    _, edges, cluster = _edge_clusters_pairwise(
         iu, ju, _supra_mask(t_obs, t_threshold, alternative), node_adj
     )
+    obs_clusters = _cluster_lists(edges, cluster, _SPC_MIN_CLUSTER_EDGES)
     obs_clusters.sort(key=lambda c: (-len(c), c))
     labels = _permutation_labels(n_a, n_total, permutations, seed, "spc_perm")
     t_perm = _t_for_labels(X, labels)[0]
-    null_max = np.zeros(permutations)
-    for p in range(permutations):
-        pc = _edge_clusters_pairwise(
-            iu, ju, _supra_mask(t_perm[p], t_threshold, alternative), node_adj
-        )
-        null_max[p] = max((len(c) for c in pc), default=0)
+    rows, _, cluster = _edge_clusters_pairwise(
+        iu, ju, _supra_mask(t_perm, t_threshold, alternative), node_adj
+    )
+    null_max = _max_cluster_sizes(rows, cluster, permutations, _SPC_MIN_CLUSTER_EDGES)
     sizes = [len(c) for c in obs_clusters]
     fwe = [float((np.sum(null_max >= s) + 1) / (permutations + 1)) for s in sizes]
     clusters = [[(int(iu[e]), int(ju[e])) for e in c] for c in obs_clusters]

@@ -16,8 +16,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _cc
 from scipy.sparse.csgraph import shortest_path as _sp
 
-from .networks import BinaryNetwork, WeightedNetwork
-
 
 @dataclass
 class MetricReport:
@@ -29,31 +27,20 @@ class MetricReport:
 
 
 def _sparse_adj(g, lengths=False):
-    """CSR adjacency; with lengths=True weighted edges carry 1/weight."""
-    n = g.n
-    if isinstance(g, WeightedNetwork):
-        rows, cols, vals = [], [], []
-        for a, b, w in g.edges:
-            v = 1.0 / w if lengths else w
-            rows += [a, b]
-            cols += [b, a]
-            vals += [v, v]
-    else:
-        rows, cols, vals = [], [], []
-        for a, b in g.edges:
-            rows += [a, b]
-            cols += [b, a]
-            vals += [1.0, 1.0]
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
+    """Symmetric CSR adjacency carrying edge weights, or 1/weight with lengths=True."""
+    w = g.edge_weights()
+    if lengths:
+        w = 1.0 / w
+    return csr_matrix(
+        (np.repeat(w, 2), (g.pairs.ravel(), g.pairs[:, ::-1].ravel())), shape=(g.n, g.n)
+    )
 
 
 def distance_matrix(g):
     """All-pairs shortest-path distances (hops, or summed 1/weight)."""
     if g.n == 0:
         return np.zeros((0, 0))
-    if isinstance(g, WeightedNetwork):
-        return _sp(_sparse_adj(g, lengths=True), method="D", directed=False)
-    return _sp(_sparse_adj(g), method="D", directed=False, unweighted=True)
+    return _sp(_sparse_adj(g, lengths=True), method="D", directed=False, unweighted=g.weights is None)
 
 
 def components(g):
@@ -75,13 +62,6 @@ def density(g):
     return g.edge_count / possible if possible else 0.0
 
 
-def _binary_adjacency(g):
-    A = g.adjacency().astype(float)
-    if isinstance(g, WeightedNetwork):
-        A = (A > 0).astype(float)
-    return A
-
-
 def clustering(g, variant="mean_local"):
     """Triangle-based clustering.
 
@@ -94,7 +74,7 @@ def clustering(g, variant="mean_local"):
     n = g.n
     if n == 0 or g.edge_count == 0:
         return MetricReport(f"clustering_{variant}", 0.0, per_node=np.zeros(n))
-    A = _binary_adjacency(g)
+    A = (g.adjacency() > 0).astype(float)
     deg = A.sum(axis=1)
     if variant in ("mean_local", "transitivity"):
         tri = np.diag(A @ A @ A) / 2.0
@@ -107,12 +87,7 @@ def clustering(g, variant="mean_local"):
         value = 3.0 * total_tri / triples if triples > 0 else 0.0
         return MetricReport("clustering_transitivity", value)
     if variant == "weighted_geometric":
-        if isinstance(g, WeightedNetwork):
-            W = g.adjacency()
-            W = W / W.max()
-        else:
-            W = A
-        Wc = np.cbrt(W)
+        Wc = np.cbrt(g.adjacency() / g.edge_weights().max())
         tri_w = np.diag(Wc @ Wc @ Wc) / 2.0
         denom = deg * (deg - 1)
         per = np.where(denom > 0, 2.0 * tri_w / np.maximum(denom, 1), 0.0)
@@ -120,41 +95,54 @@ def clustering(g, variant="mean_local"):
     raise ValueError(f"unknown clustering variant {variant!r}")
 
 
+_LOCAL_BATCH_NODES = 512  # bounds each block-diagonal distance matrix
+
+
 def local_efficiency(g):
     """Mean over nodes of the inverse-distance average within each node's
-    neighbor subgraph; nodes with fewer than two neighbors contribute 0."""
+    neighbor subgraph; nodes with fewer than two neighbors contribute 0.
+
+    Neighbor subgraphs are solved a batch at a time as the diagonal blocks
+    of one block-diagonal graph, so each batch is one shortest-path call.
+    """
     n = g.n
     if n == 0:
         return MetricReport("local_efficiency", 0.0, per_node=np.zeros(0))
-    weighted = isinstance(g, WeightedNetwork)
     W = g.adjacency().astype(float)
     per = np.zeros(n)
-    nbrs = [np.where(W[i] > 0)[0] for i in range(n)]
+    blocks, rows, cols, lengths = [], [], [], []
+    offset = 0
+
+    def solve_batch():
+        graph = csr_matrix(
+            (np.concatenate(lengths), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(offset, offset),
+        )
+        D = _sp(graph, method="D", directed=False, unweighted=g.weights is None)
+        for i, start, k in blocks:
+            with np.errstate(divide="ignore"):
+                inv = 1.0 / D[start : start + k, start : start + k]
+            inv[~np.isfinite(inv)] = 0.0
+            np.fill_diagonal(inv, 0.0)
+            per[i] = inv.sum() / (k * (k - 1))
+
     for i in range(n):
-        nb = nbrs[i]
+        nb = np.flatnonzero(W[i])
         k = nb.size
         if k < 2:
             continue
         sub = W[np.ix_(nb, nb)]
-        subnet = (
-            WeightedNetwork if weighted else BinaryNetwork
-        )  # rebuild the induced subgraph in the right container
-        if weighted:
-            iu, ju = np.triu_indices(k, 1)
-            mask = sub[iu, ju] > 0
-            edges = list(zip(iu[mask].tolist(), ju[mask].tolist(), sub[iu, ju][mask].tolist()))
-        else:
-            iu, ju = np.triu_indices(k, 1)
-            mask = sub[iu, ju] > 0
-            edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-        if not edges:
-            continue
-        D = distance_matrix(subnet(k, edges))
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / D
-        inv[~np.isfinite(inv)] = 0.0
-        np.fill_diagonal(inv, 0.0)
-        per[i] = inv.sum() / (k * (k - 1))
+        r, c = np.nonzero(np.triu(sub, 1))
+        blocks.append((i, offset, k))
+        rows.append(r + offset)
+        cols.append(c + offset)
+        lengths.append(1.0 / sub[r, c])
+        offset += k
+        if offset >= _LOCAL_BATCH_NODES:
+            solve_batch()
+            blocks, rows, cols, lengths, offset = [], [], [], [], 0
+    if blocks:
+        solve_batch()
     return MetricReport("local_efficiency", float(per.mean()), per_node=per)
 
 
@@ -188,25 +176,23 @@ def path_length(g):
     )
 
 
-def _brandes(g, weighted):
+def _brandes(g):
     """Brandes accumulation; returns (node betweenness, edge betweenness dict).
 
-    Values use the unordered-pair convention (accumulations halved), raw and
-    unnormalized.
+    Breadth-first on unweighted networks, Dijkstra with 1/weight lengths on
+    weighted ones. Values use the unordered-pair convention (accumulations
+    halved), raw and unnormalized.
     """
     n = g.n
-    if weighted:
-        adj = [[] for _ in range(n)]
-        for a, b, w in g.edges:
-            adj[a].append((b, 1.0 / w))
-            adj[b].append((a, 1.0 / w))
-    else:
-        adj = [[] for _ in range(n)]
-        for a, b in g.edges:
-            adj[a].append((b, 1.0))
-            adj[b].append((a, 1.0))
+    weighted = g.weights is not None
+    L = _sparse_adj(g, lengths=True)
+    L.sort_indices()  # neighbors in ascending order fix the accumulation order
+    adj = [
+        list(zip(L.indices[lo:hi].tolist(), L.data[lo:hi].tolist()))
+        for lo, hi in zip(L.indptr[:-1].tolist(), L.indptr[1:].tolist())
+    ]
     node_bc = np.zeros(n)
-    edge_bc = {(min(e[0], e[1]), max(e[0], e[1])): 0.0 for e in g.edges}
+    edge_bc = dict.fromkeys(map(tuple, g.pairs.tolist()), 0.0)
     for s in range(n):
         sigma = np.zeros(n)
         sigma[s] = 1.0
@@ -263,15 +249,11 @@ def _brandes(g, weighted):
 
 
 def betweenness(g):
-    weighted = isinstance(g, WeightedNetwork)
-    node_bc, _ = _brandes(g, weighted)
-    return node_bc
+    return _brandes(g)[0]
 
 
 def edge_betweenness(g):
-    weighted = isinstance(g, WeightedNetwork)
-    _, ebc = _brandes(g, weighted)
-    return ebc
+    return _brandes(g)[1]
 
 
 def centrality(g, kind):
@@ -334,9 +316,7 @@ def assortativity(g):
     if g.edge_count == 0:
         raise ValueError("assortativity undefined: no edges")
     deg = g.degrees().astype(float)
-    pairs = [(a, b) for a, b in (e[:2] for e in g.edges)]
-    j = np.array([deg[a] for a, _ in pairs])
-    k = np.array([deg[b] for _, b in pairs])
+    j, k = deg[g.pairs[:, 0]], deg[g.pairs[:, 1]]
     mean_prod = np.mean(j * k)
     mean_half_sum = np.mean((j + k) / 2.0)
     mean_half_sq = np.mean((j**2 + k**2) / 2.0)

@@ -1,142 +1,141 @@
-"""Undirected network containers produced by thresholding.
+"""The undirected network container produced by thresholding.
 
-Edges are canonical (i < j), sorted, and deduplicated. Both classes carry a
-degree cache and convert to dense adjacency; persistence is an edge-list TSV
-whose first line is a JSON header comment recording n and provenance.
+A `Network` on nodes 0..n-1 holds its edges as two arrays: `pairs`, an
+(m, 2) int64 array of canonical (i < j) node pairs in lexicographic order,
+and `weights`, a float64 array of m strictly positive finite edge weights,
+or None for an unweighted network. Both are read-only. Degrees, the dense
+adjacency and the sparse matrices the metrics use are built from these
+arrays on each call; nothing is cached. `edges` is the same edge list as
+Python tuples, (i, j) or (i, j, w).
+
+`BinaryNetwork(n, edges)` and `WeightedNetwork(n, triples)` build a
+`Network` from an edge list. Persistence is an edge-list TSV whose first
+line is a JSON header comment recording n and provenance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-def _canonical_edges(edges):
-    seen = set()
-    out = []
-    for a, b in edges:
-        a, b = int(a), int(b)
-        if a == b:
-            raise ValueError(f"self-loop ({a}, {b})")
-        if a > b:
-            a, b = b, a
-        if (a, b) in seen:
-            raise ValueError(f"duplicate edge ({a}, {b})")
-        seen.add((a, b))
-        out.append((a, b))
-    out.sort()
-    return out
+def _first(mask):
+    """Index of the first True entry of a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
-@dataclass
-class BinaryNetwork:
-    """Unweighted undirected graph on nodes 0..n-1."""
+@dataclass(init=False, eq=False)
+class Network:
+    """Undirected graph on nodes 0..n-1, unweighted or with positive weights.
+
+    Validation reports the first offending edge in input order (self-loop
+    or repeated pair), then the first bad weight, then the first edge, in
+    sorted order, with a node outside 0..n-1. As a dataclass it has a
+    repr and a field view (dataclasses.asdict) that show its contents.
+    """
 
     n: int
-    edges: list
-    meta: dict = field(default_factory=dict)
+    pairs: np.ndarray
+    weights: np.ndarray | None
+    meta: dict
 
-    def __post_init__(self):
-        self.edges = _canonical_edges(self.edges)
-        for a, b in self.edges:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a}, {b}) outside node range 0..{self.n - 1}")
+    def __init__(self, n, pairs, weights=None, meta=None):
+        p = np.asarray(pairs, dtype=np.int64)
+        if p.size == 0:
+            p = p.reshape(0, 2)
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError("edges must be (i, j) node pairs")
+        a, b = p[:, 0], p[:, 1]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        order = np.lexsort((hi, lo))  # stable: repeats follow their first occurrence
+        lo_s, hi_s = lo[order], hi[order]
+        repeat = np.zeros(len(p), dtype=bool)
+        repeat[order[1:]] = (lo_s[1:] == lo_s[:-1]) & (hi_s[1:] == hi_s[:-1])
+        bad = _first((a == b) | repeat)
+        if bad is not None:
+            if a[bad] == b[bad]:
+                raise ValueError(f"self-loop ({a[bad]}, {b[bad]})")
+            raise ValueError(f"duplicate edge ({lo[bad]}, {hi[bad]})")
+        if weights is not None:
+            w = np.asarray(weights, dtype=np.float64)
+            if w.shape != (len(p),):
+                raise ValueError(f"need one weight per edge, got {w.shape} for {len(p)} edges")
+            bad = _first(~(np.isfinite(w) & (w > 0)))
+            if bad is not None:
+                raise ValueError(
+                    f"edge ({lo[bad]}, {hi[bad]}) weight must be positive and finite, "
+                    f"got {float(w[bad])}"
+                )
+            weights = w[order]
+            weights.flags.writeable = False
+        bad = _first((lo_s < 0) | (hi_s >= n))
+        if bad is not None:
+            raise ValueError(f"edge ({lo_s[bad]}, {hi_s[bad]}) outside node range 0..{n - 1}")
+        self.n = int(n)
+        self.pairs = np.column_stack((lo_s, hi_s))
+        self.pairs.flags.writeable = False
+        self.weights = weights
+        self.meta = {} if meta is None else meta
 
     @property
     def edge_count(self):
-        return len(self.edges)
+        return len(self.pairs)
+
+    @property
+    def edges(self):
+        """Edges as Python tuples in pair order: (i, j), or (i, j, w) when weighted."""
+        cols = self.pairs.T.tolist()
+        if self.weights is not None:
+            cols.append(self.weights.tolist())
+        return list(zip(*cols))
+
+    def edge_weights(self):
+        """Weights in pair order; 1.0 for every edge of an unweighted network."""
+        return np.ones(self.edge_count) if self.weights is None else self.weights
 
     def degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.bincount(self.pairs.ravel(), minlength=self.n)
 
     def adjacency(self):
-        A = np.zeros((self.n, self.n), dtype=np.int8)
-        for a, b in self.edges:
-            A[a, b] = A[b, a] = 1
+        """Dense symmetric adjacency: int8 0/1, or float64 weights."""
+        weighted = self.weights is not None
+        A = np.zeros((self.n, self.n), dtype=np.float64 if weighted else np.int8)
+        i, j = self.pairs.T
+        A[i, j] = A[j, i] = self.weights if weighted else 1
         return A
 
-    def neighbor_sets(self):
-        nbrs = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return nbrs
-
-    def has_edge(self, a, b):
-        if a > b:
-            a, b = b, a
-        return (a, b) in set(self.edges)
-
-    def save(self, path):
-        _save_edgelist(path, self.n, [(a, b, None) for a, b in self.edges], self.meta)
-
-
-@dataclass
-class WeightedNetwork:
-    """Weighted undirected graph; weights strictly positive and finite."""
-
-    n: int
-    edges: list  # (i, j, weight)
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        pairs = _canonical_edges([(a, b) for a, b, _ in self.edges])
-        weights = {}
-        for a, b, w in self.edges:
-            a, b = (int(a), int(b)) if a < b else (int(b), int(a))
-            w = float(w)
-            if not np.isfinite(w) or w <= 0:
-                raise ValueError(f"edge ({a}, {b}) weight must be positive and finite, got {w}")
-            weights[(a, b)] = w
-        self.edges = [(a, b, weights[(a, b)]) for a, b in pairs]
-        for a, b in pairs:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a}, {b}) outside node range 0..{self.n - 1}")
-
-    @property
-    def edge_count(self):
-        return len(self.edges)
-
-    def degrees(self):
-        deg = np.zeros(self.n, dtype=np.int64)
-        for a, b, _ in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-    def adjacency(self):
-        W = np.zeros((self.n, self.n))
-        for a, b, w in self.edges:
-            W[a, b] = W[b, a] = w
-        return W
-
     def binary(self):
-        return BinaryNetwork(self.n, [(a, b) for a, b, _ in self.edges], dict(self.meta))
+        """The same edges without weights; meta is copied."""
+        return Network(self.n, self.pairs, meta=dict(self.meta))
 
     def save(self, path):
-        _save_edgelist(path, self.n, self.edges, self.meta)
-
-
-def _save_edgelist(path, n, triples, meta):
-    header = {"n": n}
-    header.update(meta or {})
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        for a, b, w in triples:
-            if w is None:
-                fh.write(f"{a}\t{b}\n")
+        header = {"n": self.n}
+        header.update(self.meta)
+        with open(path, "w") as fh:
+            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
+            if self.weights is None:
+                fh.writelines(f"{a}\t{b}\n" for a, b in self.edges)
             else:
-                fh.write(f"{a}\t{b}\t{w:.17g}\n")
+                fh.writelines(f"{a}\t{b}\t{w:.17g}\n" for a, b, w in self.edges)
+
+
+def BinaryNetwork(n, edges, meta=None):
+    """Unweighted network from an edge list of (i, j) pairs."""
+    return Network(n, edges, meta=meta)
+
+
+def WeightedNetwork(n, triples, meta=None):
+    """Weighted network from an edge list of (i, j, weight) triples."""
+    triples = list(triples)
+    pairs = [(a, b) for a, b, _ in triples]
+    return Network(n, pairs, [w for _, _, w in triples], meta)
 
 
 def load_network(path):
-    """Load an edge-list TSV; returns BinaryNetwork or WeightedNetwork.
+    """Load an edge-list TSV; returns a weighted Network if lines carry weights.
 
     The first line must be a '# {json}' header carrying at least n.
     """
@@ -147,24 +146,20 @@ def load_network(path):
         header = json.loads(first[1:].strip())
         n = int(header["n"])
         meta = {k: v for k, v in header.items() if k != "n"}
-        pairs, triples, weighted = [], [], False
+        pairs, weights = [], []
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
-            if len(parts) == 2:
-                pairs.append((int(parts[0]), int(parts[1])))
-            elif len(parts) == 3:
-                weighted = True
-                triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
-            else:
+            if len(parts) not in (2, 3):
                 raise ValueError(f"{path}: bad edge line {line!r}")
-    if weighted:
-        if pairs:
-            raise ValueError(f"{path}: mixed weighted and unweighted lines")
-        return WeightedNetwork(n, triples, meta)
-    return BinaryNetwork(n, pairs, meta)
+            pairs.append((int(parts[0]), int(parts[1])))
+            if len(parts) == 3:
+                weights.append(float(parts[2]))
+    if weights and len(weights) != len(pairs):
+        raise ValueError(f"{path}: mixed weighted and unweighted lines")
+    return Network(n, pairs, weights or None, meta)
 
 
 def from_adjacency(A, meta=None):
@@ -172,8 +167,7 @@ def from_adjacency(A, meta=None):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     iu, ju = np.triu_indices(n, 1)
-    mask = A[iu, ju] != 0
-    ii, jj, ww = iu[mask], ju[mask], A[iu, ju][mask]
-    if np.all((ww == 1.0)):
-        return BinaryNetwork(n, list(zip(ii.tolist(), jj.tolist())), meta or {})
-    return WeightedNetwork(n, list(zip(ii.tolist(), jj.tolist(), ww.tolist())), meta or {})
+    w = A[iu, ju]
+    keep = w != 0
+    w = w[keep]
+    return Network(n, np.column_stack((iu[keep], ju[keep])), None if np.all(w == 1.0) else w, meta)

@@ -16,13 +16,13 @@ semi-parametric bootstrap for goodness of fit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, zeta
+from scipy.special import zeta
 
 from .metrics import clustering, largest_component, path_length
-from .networks import BinaryNetwork
+from .networks import Network
 from .runtime import derive_seed, parallel_map, rng_for
 
 
@@ -34,11 +34,13 @@ def rewire_preserving_degree(g, swaps_per_edge=10, seed=0):
     swaps_per_edge * |edges| successes; 100 * |edges| consecutive rejections
     triggers a warning and returns the best effort.
     """
+    if g.weights is not None:
+        raise ValueError("rewiring needs an unweighted network; pass g.binary()")
     if g.edge_count < 2:
         raise ValueError("rewiring needs at least 2 edges")
     rng = np.random.default_rng(seed)
-    edges = [list(e) for e in g.edges]
-    edge_set = {tuple(e) for e in g.edges}
+    edges = g.pairs.tolist()
+    edge_set = set(map(tuple, edges))
     m = len(edges)
     target = swaps_per_edge * m
     max_stale = 100 * m
@@ -81,7 +83,7 @@ def rewire_preserving_degree(g, swaps_per_edge=10, seed=0):
         edges[e2] = [p2[0], p2[1]]
         successes += 1
         stale = 0
-    return BinaryNetwork(g.n, sorted(edge_set), {"null": "degree_preserving_rewire", "seed": int(seed)})
+    return Network(g.n, sorted(edge_set), meta={"null": "degree_preserving_rewire", "seed": int(seed)})
 
 
 def lattice_reference(g):
@@ -113,7 +115,7 @@ def lattice_reference(g):
             if len(edges) == m:
                 break
         offset += 1
-    return BinaryNetwork(n, edges, {"null": "ring_lattice"})
+    return Network(n, edges, meta={"null": "ring_lattice"})
 
 
 @dataclass
@@ -132,9 +134,10 @@ class SmallWorldResult:
 
 
 def _subgraph_on(g, nodes):
-    index = {int(v): i for i, v in enumerate(nodes)}
-    edges = [(index[a], index[b]) for a, b in g.edges if a in index and b in index]
-    return BinaryNetwork(len(nodes), edges)
+    index = np.full(g.n, -1)
+    index[nodes] = np.arange(len(nodes))
+    pairs = index[g.pairs]
+    return Network(len(nodes), pairs[np.all(pairs >= 0, axis=1)])
 
 
 def _cl_stats(g, variant):
@@ -147,8 +150,8 @@ def _cl_stats(g, variant):
 
 
 def _null_member_stats(payload):
-    n, edges, swaps_per_edge, member_seed, variant = payload
-    null = rewire_preserving_degree(BinaryNetwork(n, edges), swaps_per_edge, member_seed)
+    g, swaps_per_edge, member_seed, variant = payload
+    null = rewire_preserving_degree(g, swaps_per_edge, member_seed)
     C, L, _ = _cl_stats(null, variant)
     return C, L
 
@@ -169,7 +172,7 @@ def small_world(
     """
     C, L, restricted = _cl_stats(g, clustering_variant)
     payloads = [
-        (g.n, g.edges, swaps_per_edge, derive_seed(seed, "null", i), clustering_variant)
+        (g, swaps_per_edge, derive_seed(seed, "null", i), clustering_variant)
         for i in range(null_count)
     ]
     stats = parallel_map(_null_member_stats, payloads, workers=workers)
@@ -196,14 +199,6 @@ def small_world(
         clustering_variant=clustering_variant,
         restricted_to_largest_component=restricted,
     )
-
-
-def small_world_sigma(g, null_count=20, swaps_per_edge=10, seed=0, **kw):
-    return small_world(g, null_count, swaps_per_edge, seed, **kw)
-
-
-def small_world_omega(g, null_count=20, swaps_per_edge=10, seed=0, **kw):
-    return small_world(g, null_count, swaps_per_edge, seed, **kw)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from . import communities, ergm, groupcompare, metrics, nullmodels, resampling, 
 from .estimators import ESTIMATOR_NAMES, estimate
 from .panels import BandSpec, bandpass_filter, load_manifest
 from .runtime import derive_seed, parallel_map, resolve_workers, to_json, write_json
-from .thresholding import THRESHOLD_METHODS, apply_spec
+from .thresholding import apply_spec, spec_problems
 
 ANALYSIS_TYPES = (
     "metrics",
@@ -108,11 +108,7 @@ def validate_config(raw, base_dir=".", out_dir=None):
     est_params = est.get("params", {})
 
     threshold = raw.get("threshold", {"method": "fixed_threshold", "criterion": "value", "tau": 0.0})
-    if threshold.get("method") not in THRESHOLD_METHODS:
-        problems.append(
-            f"threshold method {threshold.get('method')!r} unknown; "
-            f"choose from {THRESHOLD_METHODS}"
-        )
+    problems += spec_problems(threshold)
 
     bandpass = raw.get("bandpass")
     if bandpass is not None:
@@ -269,7 +265,7 @@ def _analysis_smallworld(config, params, panel, matrices, networks, seed):
     out = []
     for s in subjects:
         res = nullmodels.small_world(
-            networks[int(s)].binary() if hasattr(networks[int(s)], "binary") else networks[int(s)],
+            networks[int(s)].binary(),
             null_count=params.get("null_count", 20),
             swaps_per_edge=params.get("swaps_per_edge", 10),
             seed=derive_seed(seed, "subject", s),
@@ -335,7 +331,7 @@ def _analysis_compare(config, params, panel, matrices, networks, seed):
 
 def _analysis_ergm(config, params, panel, matrices, networks, seed):
     terms = tuple(params.get("terms", ("edges", "two_stars", "triangles")))
-    binaries = [g.binary() if hasattr(g, "binary") else g for g in networks]
+    binaries = [g.binary() for g in networks]
     fits = []
     for s, g in enumerate(binaries):
         try:

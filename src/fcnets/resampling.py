@@ -104,10 +104,7 @@ def metric_error(
         raise ValueError("need at least 10 replicates")
     x = np.asarray(series, dtype=float)
 
-    spec = dict(
-        threshold_spec
-        or {"method": "fixed_threshold", "criterion": "value", "tau": 0.0}
-    )
+    spec = threshold_spec or {"method": "fixed_threshold", "criterion": "value", "tau": 0.0}
 
     def pipeline(data):
         cm = estimators.estimate(data, estimator, estimator_params)

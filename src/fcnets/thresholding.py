@@ -13,11 +13,13 @@ floor(x + 0.5).
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 from scipy import stats
 
-from .estimators import CORRELATION_MEASURES, ConnectionMatrix
-from .networks import BinaryNetwork, WeightedNetwork
+from .estimators import CORRELATION_MEASURES
+from .networks import Network
 
 
 def _round_half_up(x):
@@ -168,8 +170,7 @@ def apply_fixed_threshold(
     else:
         raise ValueError(f"unknown criterion {criterion!r}")
 
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
-    return BinaryNetwork(n, edges, meta)
+    return Network(n, np.column_stack((iu[mask], ju[mask])), meta=meta)
 
 
 def apply_fixed_degree(cm, k_target, negatives="drop"):
@@ -183,11 +184,10 @@ def apply_fixed_degree(cm, k_target, negatives="drop"):
     if E > max_edges:
         raise ValueError(f"target edge count {E} exceeds possible {max_edges}")
     ii, jj, w = _ranked_pairs(_policy_values(cm, negatives), n)
-    edges = list(zip(ii[:E].tolist(), jj[:E].tolist()))
-    return BinaryNetwork(
+    return Network(
         n,
-        edges,
-        {"threshold": {"criterion": "fixed_degree", "k_target": k_target, "negatives": negatives}},
+        np.column_stack((ii[:E], jj[:E])),
+        meta={"threshold": {"criterion": "fixed_degree", "k_target": k_target, "negatives": negatives}},
     )
 
 
@@ -205,11 +205,10 @@ def apply_fixed_density(cm, density=None, path_exponent=None, negatives="drop"):
             raise ValueError("density must be in (0, 1]")
         E = _round_half_up(density * n * (n - 1) / 2.0)
         ii, jj, _ = _ranked_pairs(_policy_values(cm, negatives), n)
-        edges = list(zip(ii[:E].tolist(), jj[:E].tolist()))
-        return BinaryNetwork(
+        return Network(
             n,
-            edges,
-            {"threshold": {"criterion": "fixed_density", "density": density, "negatives": negatives}},
+            np.column_stack((ii[:E], jj[:E])),
+            meta={"threshold": {"criterion": "fixed_density", "density": density, "negatives": negatives}},
         )
     S = float(path_exponent)
     if S <= 1:
@@ -255,23 +254,48 @@ def weighted_network(cm, policy="keep_positive", tau=None):
         raise ValueError(f"unknown policy {policy!r}")
     if not np.any(mask):
         raise ValueError(f"policy {policy!r} eliminated every weight")
-    triples = list(zip(iu[mask].tolist(), ju[mask].tolist(), kept[mask].tolist()))
-    return WeightedNetwork(n, triples, {"weights": {"policy": policy, "tau": tau}})
+    return Network(
+        n, np.column_stack((iu[mask], ju[mask])), kept[mask], {"weights": {"policy": policy, "tau": tau}}
+    )
 
 
-THRESHOLD_METHODS = ("fixed_threshold", "fixed_degree", "fixed_density", "weighted")
+_SPEC_FUNCTIONS = {
+    "fixed_threshold": apply_fixed_threshold,
+    "fixed_degree": apply_fixed_degree,
+    "fixed_density": apply_fixed_density,
+    "weighted": weighted_network,
+}
+THRESHOLD_METHODS = tuple(_SPEC_FUNCTIONS)
+
+
+def spec_problems(spec):
+    """Problems with a thresholding spec {"method": ..., **kwargs}, or [].
+
+    The spec must be an object naming a known method; its other keys must
+    be parameters of that method's function, and every parameter without a
+    default must be given.
+    """
+    if not isinstance(spec, dict):
+        return [f"threshold spec must be an object, got {spec!r}"]
+    method = spec.get("method")
+    if method not in THRESHOLD_METHODS:
+        return [f"unknown threshold method {method!r}; choose from {THRESHOLD_METHODS}"]
+    params = list(inspect.signature(_SPEC_FUNCTIONS[method]).parameters.values())[1:]
+    names = [p.name for p in params]
+    unknown = [k for k in spec if k != "method" and k not in names]
+    missing = [p.name for p in params if p.default is p.empty and p.name not in spec]
+    problems = []
+    if unknown:
+        problems.append(f"threshold method {method!r} has no parameter {unknown}; parameters: {names}")
+    if missing:
+        problems.append(f"threshold method {method!r} needs {missing}")
+    return problems
 
 
 def apply_spec(cm, spec):
     """Dispatch a thresholding spec dict {"method": ..., **kwargs}."""
-    spec = dict(spec)
-    method = spec.pop("method", None)
-    if method == "fixed_threshold":
-        return apply_fixed_threshold(cm, **spec)
-    if method == "fixed_degree":
-        return apply_fixed_degree(cm, **spec)
-    if method == "fixed_density":
-        return apply_fixed_density(cm, **spec)
-    if method == "weighted":
-        return weighted_network(cm, **spec)
-    raise ValueError(f"unknown threshold method {method!r}; choose from {THRESHOLD_METHODS}")
+    problems = spec_problems(spec)
+    if problems:
+        raise ValueError("; ".join(problems))
+    params = {k: v for k, v in spec.items() if k != "method"}
+    return _SPEC_FUNCTIONS[spec["method"]](cm, **params)

@@ -180,6 +180,41 @@ def test_bootstrap_subcommand(capsys):
     assert report["block_length"] == 10
 
 
+@pytest.mark.parametrize(
+    "threshold, needle",
+    [
+        ({"method": "fixed_degree", "k": 3}, "no parameter ['k']"),
+        ([1, 2], "must be an object"),
+    ],
+)
+def test_pipeline_bad_threshold_spec_exits_2(tmp_path, capsys, threshold, needle):
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    cfg["threshold"] = threshold
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "validation"
+    assert any(needle in p for p in report["problems"])
+
+
+@pytest.mark.parametrize(
+    "threshold, needle",
+    [('{"method": "fixed_degree", "k": 3}', "no parameter ['k']"), ("[1, 2]", "must be an object")],
+)
+def test_bootstrap_bad_threshold_spec_exits_1(capsys, threshold, needle):
+    code, out, err = run_cli(
+        capsys,
+        "bootstrap", "--in", DATA / "subject_0.csv", "--metric", "density",
+        "--replicates", "10", "--threshold", threshold,
+    )
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError" and needle in report["message"]
+
+
 def read_reports(out_dir):
     reports = {}
     for name in sorted(os.listdir(out_dir)):

@@ -171,7 +171,10 @@ def test_eigenvector_edgeless_raises():
 
 
 def brute_transitivity(g):
-    nbrs = g.neighbor_sets()
+    nbrs = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     triangles = sum(
         1
         for a, b, c in itertools.combinations(range(g.n), 3)

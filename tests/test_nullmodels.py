@@ -12,8 +12,6 @@ from fcnets.nullmodels import (
     rewire_preserving_degree,
     sample_powerlaw,
     small_world,
-    small_world_omega,
-    small_world_sigma,
 )
 
 
@@ -89,9 +87,6 @@ def test_small_world_deterministic_and_shared_ensemble(rng):
     a = small_world(g, null_count=6, seed=9)
     b = small_world(g, null_count=6, seed=9)
     assert (a.sigma, a.omega, a.C_rand, a.L_rand) == (b.sigma, b.omega, b.C_rand, b.L_rand)
-    s = small_world_sigma(g, null_count=6, seed=9)
-    o = small_world_omega(g, null_count=6, seed=9)
-    assert s.sigma == a.sigma and o.omega == a.omega
     par = small_world(g, null_count=6, seed=9, workers=2)
     assert par.sigma == a.sigma and par.omega == a.omega
 
