@@ -100,12 +100,16 @@ def validate_config(raw, base_dir=".", out_dir=None):
     est = raw.get("estimator", {})
     if isinstance(est, str):
         est = {"name": est}
-    est_name = est.get("name")
-    if est_name not in ESTIMATOR_NAMES:
-        problems.append(
-            f"estimator {est_name!r} unknown; choose from {ESTIMATOR_NAMES}"
-        )
-    est_params = est.get("params", {})
+    est_name = est_params = None
+    if not isinstance(est, dict):
+        problems.append(f"estimator must be an object or a name, got {est!r}")
+    else:
+        est_name = est.get("name")
+        if est_name not in ESTIMATOR_NAMES:
+            problems.append(
+                f"estimator {est_name!r} unknown; choose from {ESTIMATOR_NAMES}"
+            )
+        est_params = est.get("params", {})
 
     threshold = raw.get("threshold", {"method": "fixed_threshold", "criterion": "value", "tau": 0.0})
     problems += spec_problems(threshold)
@@ -132,6 +136,9 @@ def validate_config(raw, base_dir=".", out_dir=None):
             )
             continue
         params = spec.get("params", {})
+        if not isinstance(params, dict):
+            problems.append(f"{tag}: params must be an object, got {params!r}")
+            continue
         kind = spec["type"]
         if kind == "compare":
             method = params.get("method", "nbs")

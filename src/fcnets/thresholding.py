@@ -17,6 +17,8 @@ import inspect
 
 import numpy as np
 from scipy import stats
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .estimators import CORRELATION_MEASURES
 from .networks import Network
@@ -43,24 +45,30 @@ def _ranked_pairs(vals, n):
     return iu[order], ju[order], w[order]
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.groups = n
+def _connecting_weight(ii, jj, w, usable, n):
+    """Weight of the last pair in the shortest connected prefix of the
+    ranked pairs, or None if no usable prefix connects all n nodes.
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
+    Connectivity only grows with the prefix, so the prefix is found by
+    bisection on its length.
+    """
+    unusable = np.flatnonzero(~usable)
+    k_max = int(unusable[0]) if unusable.size else w.size
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.groups -= 1
-            return True
-        return False
+    def connected(k):
+        graph = coo_matrix((np.ones(k), (ii[:k], jj[:k])), shape=(n, n))
+        return connected_components(graph, directed=False)[0] == 1
+
+    if k_max == 0 or not connected(k_max):
+        return None
+    lo, hi = n - 1, k_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if connected(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return w[hi - 1]
 
 
 def _correlation_pvalues(cm, series_length):
@@ -143,15 +151,7 @@ def apply_fixed_threshold(
     elif criterion == "min_connected":
         ii, jj, w = _ranked_pairs(vals, n)
         usable = w > 0 if negatives == "drop" else np.ones(w.size, dtype=bool)
-        uf = _UnionFind(n)
-        w_connect = None
-        for a, b, wt, ok in zip(ii, jj, w, usable):
-            if not ok:
-                break
-            uf.union(int(a), int(b))
-            if uf.groups == 1:
-                w_connect = wt
-                break
+        w_connect = _connecting_weight(ii, jj, w, usable, n)
         if w_connect is None:
             raise ValueError(
                 "min_connected impossible: graph cannot be connected under the "
@@ -293,9 +293,15 @@ def spec_problems(spec):
 
 
 def apply_spec(cm, spec):
-    """Dispatch a thresholding spec dict {"method": ..., **kwargs}."""
+    """Dispatch a thresholding spec dict {"method": ..., **kwargs}.
+
+    A malformed spec, or a parameter of the wrong type, raises ValueError.
+    """
     problems = spec_problems(spec)
     if problems:
         raise ValueError("; ".join(problems))
     params = {k: v for k, v in spec.items() if k != "method"}
-    return _SPEC_FUNCTIONS[spec["method"]](cm, **params)
+    try:
+        return _SPEC_FUNCTIONS[spec["method"]](cm, **params)
+    except TypeError as exc:
+        raise ValueError(f"threshold spec {spec!r} failed: {exc}") from exc

@@ -7,8 +7,11 @@ models Fisher-transformed strengths of present connections with a linear
 mixed model: subject random intercept, a structured correlation over dyads
 (distance-based kinds evaluated on Euclidean distances between dyad
 midpoints), and, with several tasks, a task correlation crossed with the
-dyad correlation. On a complete task-by-dyad grid the crossed covariance is
-evaluated in factorized form; the dense matrix is never built there.
+dyad correlation. Each evaluation of the strength likelihood builds every
+subject's dense covariance over its present rows and Cholesky-factors it
+once; that factor gives both the GLS coefficients and the log-likelihood.
+`kronecker_loglik` evaluates complete task-by-dyad grids in factored form,
+without the dense matrix, for callers that have such grids.
 """
 
 from __future__ import annotations
@@ -275,6 +278,22 @@ def build_dyad_dataset(
     return data
 
 
+def _fd_hessian(f, x, h):
+    """Central-difference Hessian of f at x with per-coordinate steps h."""
+    p = x.size
+    H = np.zeros((p, p))
+    for a in range(p):
+        for b in range(a, p):
+            ea = np.zeros(p); ea[a] = h[a]
+            eb = np.zeros(p); eb[b] = h[b]
+            f_pp = f(x + ea + eb)
+            f_pm = f(x + ea - eb)
+            f_mp = f(x - ea + eb)
+            f_mm = f(x - ea - eb)
+            H[a, b] = H[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4 * h[a] * h[b])
+    return H
+
+
 # ---------------------------------------------------------------------------
 # Part I: mixed-effects logistic presence model
 
@@ -353,17 +372,7 @@ def _fit_presence(data, names, quad_points, maxfev):
     params = res.x
     # Standard errors from the numerical Hessian of the marginal deviance.
     p = params.size
-    h = 1e-4 * (1.0 + np.abs(params))
-    H = np.zeros((p, p))
-    for a in range(p):
-        for b in range(a, p):
-            ea = np.zeros(p); ea[a] = h[a]
-            eb = np.zeros(p); eb[b] = h[b]
-            f_pp = objective(params + ea + eb)
-            f_pm = objective(params + ea - eb)
-            f_mp = objective(params - ea + eb)
-            f_mm = objective(params - ea - eb)
-            H[a, b] = H[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4 * h[a] * h[b])
+    H = _fd_hessian(objective, params, 1e-4 * (1.0 + np.abs(params)))
     try:
         cov = np.linalg.inv(H)
         se = np.sqrt(np.clip(np.diag(cov), 0, None))[: p - 1]
@@ -419,88 +428,57 @@ def kronecker_loglik(residuals, gamma, omega, sigma_task, tau2):
     return total
 
 
-def _dense_subject_loglik(resid, cov):
-    c = cho_factor(cov, lower=True)
-    logdet = 2 * np.sum(np.log(np.diag(c[0])))
-    quad = float(resid @ cho_solve(c, resid))
-    m = resid.size
-    return -0.5 * (m * np.log(2 * np.pi) + logdet + quad)
-
-
 class _StrengthDesign:
-    """Frozen view of the present rows, grouped by subject."""
+    """Present rows, with one block per subject in (task, dyad) order.
+
+    Each block holds its row indices, its X and y rows, and the np.ix_ grids
+    that pick its task-by-task and dyad-by-dyad covariance entries.
+    """
 
     def __init__(self, data, names):
         mask = data.v > 0
         if not np.any(mask):
             raise ValueError("no present connections; the strength part is empty")
-        y = data.y[mask]
-        y = np.arctanh(np.clip(y, 0.0, 1.0 - 1e-12))
         self.X = data.design(names)[mask]
-        self.y = y
-        self.subject = data.subject[mask]
-        self.task = data.task[mask]
-        self.dyad = data.dyad[mask]
+        self.y = np.arctanh(np.clip(data.y[mask], 0.0, 1.0 - 1e-12))
         self.n_tasks = data.n_tasks
         self.n_dyads = len(data.dyads)
-        self.subjects = np.unique(self.subject)
+        subject, task, dyad = data.subject[mask], data.task[mask], data.dyad[mask]
         self.blocks = []
-        full = self.n_tasks * self.n_dyads
-        for s in self.subjects:
-            idx = np.where(self.subject == s)[0]
-            order = np.lexsort((self.dyad[idx], self.task[idx]))
-            idx = idx[order]
-            complete = idx.size == full
+        for s in np.unique(subject):
+            idx = np.where(subject == s)[0]
+            idx = idx[np.lexsort((dyad[idx], task[idx]))]
+            t, d = task[idx], dyad[idx]
             self.blocks.append(
-                {
-                    "idx": idx,
-                    "task": self.task[idx],
-                    "dyad": self.dyad[idx],
-                    "complete": complete,
-                }
+                (idx, self.X[idx], self.y[idx], np.ix_(t, t), np.ix_(d, d))
             )
 
 
-def _subject_cov(block, omega_m, gamma_m, sigma_task, tau2):
-    t = block["task"]
-    d = block["dyad"]
+def _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2):
+    """Log-likelihood, GLS coefficients and X' V^-1 X of the strength part.
+
+    Subject block covariance: tau2 + (S Gamma S)[t, t'] * Omega[d, d'] with
+    S = diag(sigma_task), factored once for the GLS step and the likelihood.
+    """
     gp = gamma_m * np.outer(sigma_task, sigma_task)
-    cov = gp[np.ix_(t, t)] * omega_m[np.ix_(d, d)] + tau2
-    return cov
-
-
-def _gls_beta(design, omega_m, gamma_m, sigma_task, tau2):
     p = design.X.shape[1]
     xtx = np.zeros((p, p))
     xty = np.zeros(p)
-    solves = []
-    for block in design.blocks:
-        idx = block["idx"]
-        cov = _subject_cov(block, omega_m, gamma_m, sigma_task, tau2)
-        c = cho_factor(cov, lower=True)
-        Xs = design.X[idx]
-        ys = design.y[idx]
+    factors = []
+    for _, Xs, ys, tasks, dyads in design.blocks:
+        c = cho_factor(gp[tasks] * omega_m[dyads] + tau2, lower=True)
         ci_x = cho_solve(c, Xs)
         xtx += Xs.T @ ci_x
         xty += ci_x.T @ ys
-        solves.append((idx, c))
+        factors.append(c)
     beta = np.linalg.solve(xtx, xty)
-    return beta, xtx, solves
-
-
-def _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2):
-    beta, xtx, _ = _gls_beta(design, omega_m, gamma_m, sigma_task, tau2)
     resid = design.y - design.X @ beta
     total = 0.0
-    for block in design.blocks:
-        idx = block["idx"]
+    for (idx, *_), c in zip(design.blocks, factors):
         r = resid[idx]
-        if block["complete"]:
-            R = r.reshape(design.n_tasks, design.n_dyads)
-            total += kronecker_loglik([R], gamma_m, omega_m, sigma_task, tau2)
-        else:
-            cov = _subject_cov(block, omega_m, gamma_m, sigma_task, tau2)
-            total += _dense_subject_loglik(r, cov)
+        logdet = 2 * np.sum(np.log(np.diag(c[0])))
+        quad = float(r @ cho_solve(c, r))
+        total += -0.5 * (r.size * np.log(2 * np.pi) + logdet + quad)
     return total, beta, xtx
 
 
@@ -690,19 +668,7 @@ def _fit_strength(data, names, omega, gamma, maxfev):
         + [f"omega_{n}" for n in om.names]
         + [f"gamma_{i}" for i in range(n_gamma)]
     )
-    p = params.size
-    h = 1e-3 * (1.0 + np.abs(params))
-    H = np.zeros((p, p))
-    for a in range(p):
-        for b in range(a, p):
-            ea = np.zeros(p); ea[a] = h[a]
-            eb = np.zeros(p); eb[b] = h[b]
-            H[a, b] = H[b, a] = (
-                objective(params + ea + eb)
-                - objective(params + ea - eb)
-                - objective(params - ea + eb)
-                + objective(params - ea - eb)
-            ) / (4 * h[a] * h[b])
+    H = _fd_hessian(objective, params, 1e-3 * (1.0 + np.abs(params)))
     try:
         pc = np.linalg.inv(H)
         param_se = {

@@ -200,9 +200,46 @@ def test_pipeline_bad_threshold_spec_exits_2(tmp_path, capsys, threshold, needle
     assert any(needle in p for p in report["problems"])
 
 
+def test_pipeline_threshold_parameter_of_wrong_type_exits_1(tmp_path, capsys):
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    cfg["threshold"] = {"method": "fixed_degree", "k_target": "3"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert "threshold spec" in report["message"] and "k_target" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "field, needle",
+    [("estimator", "estimator must be an object"), ("params", "analyses[0]: params must be an object")],
+)
+def test_pipeline_non_object_field_exits_2(tmp_path, capsys, field, needle):
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    if field == "estimator":
+        cfg["estimator"] = ["correlation"]
+    else:
+        cfg["analyses"][0]["params"] = ["density"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "validation"
+    assert any(needle in p for p in report["problems"])
+
+
 @pytest.mark.parametrize(
     "threshold, needle",
-    [('{"method": "fixed_degree", "k": 3}', "no parameter ['k']"), ("[1, 2]", "must be an object")],
+    [
+        ('{"method": "fixed_degree", "k": 3}', "no parameter ['k']"),
+        ("[1, 2]", "must be an object"),
+        ('{"method": "fixed_degree", "k_target": "3"}', "threshold spec"),
+    ],
 )
 def test_bootstrap_bad_threshold_spec_exits_1(capsys, threshold, needle):
     code, out, err = run_cli(

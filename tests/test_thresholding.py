@@ -88,6 +88,44 @@ def test_min_connected():
     assert net.meta["threshold"]["connecting_weight"] == pytest.approx(0.5)
 
 
+def _spans(n, pairs):
+    seen, stack = {0}, [0]
+    while stack:
+        a = stack.pop()
+        for i, j in pairs:
+            for u, v in ((i, j), (j, i)):
+                if u == a and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return len(seen) == n
+
+
+@pytest.mark.parametrize("negatives", ["drop", "absolute"])
+def test_min_connected_is_the_largest_connecting_cutoff(negatives):
+    # brute force: the largest entry value w whose cut (entries >= w, and
+    # > 0 under "drop") connects every node; rounding makes ties common
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        vals = np.round(sym(n, rng) * 2) / 2
+        np.fill_diagonal(vals, 0.0)
+        ranked = np.abs(vals) if negatives == "absolute" else vals
+        iu, ju = np.triu_indices(n, 1)
+        best = None
+        for w in sorted(set(ranked[iu, ju].tolist()), reverse=True):
+            keep = (ranked[iu, ju] >= w) & ((ranked[iu, ju] > 0) | (negatives == "absolute"))
+            if _spans(n, list(zip(iu[keep].tolist(), ju[keep].tolist()))):
+                best = w
+                break
+        if best is None:
+            with pytest.raises(ValueError, match="impossible"):
+                apply_fixed_threshold(cm_from(vals), "min_connected", negatives=negatives)
+            continue
+        net = apply_fixed_threshold(cm_from(vals), "min_connected", negatives=negatives)
+        assert net.meta["threshold"]["connecting_weight"] == best
+        assert net.edges == [(i, j) for i, j, k in zip(iu.tolist(), ju.tolist(), keep) if k]
+
+
 def test_min_connected_impossible():
     vals = np.array(
         [

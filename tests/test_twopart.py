@@ -338,6 +338,47 @@ def test_gamma_unstructured_two_tasks(rng):
     assert fit.strength.sigma_task.shape == (2,)
 
 
+def test_strength_fit_matches_dense_numpy_oracle():
+    # two tasks, a subject covariate, an exponential Omega and an unstructured
+    # Gamma; subjects 0-2 have complete task-by-dyad blocks, 3-5 do not
+    rng = np.random.default_rng(20)
+    xs = np.arange(4.0)
+    coords = np.column_stack([xs, 0.05 * xs**2, np.zeros(4)])
+    age = np.array([-1.0, -0.4, 0.1, 0.5, 0.9, 1.3])
+    vals = 0.3 + 0.05 * age[None, :, None] + 0.1 * rng.random((2, 6, 6))
+    vals[0, 3, 1] = vals[1, 4, 0] = vals[1, 4, 5] = vals[0, 5, 2] = -0.2
+    mats = [[cm_from_dyads(v, 4) for v in task] for task in vals]
+    data = build_dyad_dataset(mats, coordinates=coords, covariates={"age": age})
+    fit = twopart_fit(
+        data, strength_formula=("intercept", "age"),
+        omega=CorrelationStructure("exponential"), gamma="unstructured", maxfev=600,
+    )
+    s = fit.strength
+    assert not np.allclose(s.omega_matrix, np.eye(6))
+    present = data.v > 0
+    z = np.arctanh(data.y)
+    X = np.column_stack([np.ones(data.n_rows()), data.covariates["age"]])
+    task_cov = s.gamma_matrix * np.outer(s.sigma_task, s.sigma_task)
+    blocks, complete = [], 0
+    for subj in range(data.n_subjects):
+        rows = np.flatnonzero(present & (data.subject == subj))
+        complete += rows.size == data.n_tasks * len(data.dyads)
+        t, d = data.task[rows], data.dyad[rows]
+        cov = s.tau2 + task_cov[t][:, t] * s.omega_matrix[d][:, d]
+        blocks.append((X[rows], z[rows], cov))
+    assert complete == 3
+    xtx = sum(Xs.T @ np.linalg.solve(cov, Xs) for Xs, _, cov in blocks)
+    xty = sum(Xs.T @ np.linalg.solve(cov, zs) for Xs, zs, cov in blocks)
+    beta = np.linalg.solve(xtx, xty)
+    loglik = 0.0
+    for Xs, zs, cov in blocks:
+        r = zs - Xs @ beta
+        _, logdet = np.linalg.slogdet(cov)
+        loglik += -0.5 * (r.size * np.log(2 * np.pi) + logdet + r @ np.linalg.solve(cov, r))
+    assert np.allclose(s.beta, beta, rtol=0, atol=1e-8)
+    assert s.loglik == pytest.approx(loglik, abs=1e-8)
+
+
 def test_gamma_patterned_follows_structure(rng):
     vals = [np.vstack([0.3 + 0.1 * rng.random(3) for _ in range(3)]) for _ in range(3)]
     vals[2][2, 2] = -0.2
