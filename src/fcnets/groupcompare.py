@@ -1,11 +1,16 @@
 """Two-group inference on edge populations.
 
 Edgewise tests compare Fisher-transformed connectivity at every edge with a
-multiplicity correction. The two cluster methods admit edges whose group
-t statistic crosses a primary threshold and then test cluster sizes against
-a permutation distribution of the maximum: components connected through
-shared nodes, or clusters grown over spatially pairwise-neighboring edges.
-Family-wise p-values use the add-one convention (b + 1) / (P + 1).
+multiplicity correction. The two cluster methods, the network-based
+statistic (nbs) and spatial pairwise clustering (spc), are one permutation
+test that differs only in how supra-threshold edges form clusters:
+components connected through shared nodes, or clusters grown over spatially
+pairwise-neighboring edges. Edges whose group t statistic crosses a primary
+threshold are clustered, and each observed cluster's size is tested against
+the permutation distribution of the maximum cluster size. That null is built
+in chunks of a fixed number of permutations, so memory does not grow with
+the permutation count. Family-wise p-values use the add-one convention
+(b + 1) / (P + 1).
 """
 
 from __future__ import annotations
@@ -27,25 +32,25 @@ def _edge_index(n):
     return np.triu_indices(n, 1)
 
 
-def _group_edge_values(group, iu, ju):
-    """Subjects x edges matrix of Fisher-transformed (correlation family) values."""
+def _edge_panel(group_a, group_b):
+    """Node count, subjects x edges panel of both groups (Fisher-transformed for
+    the correlation family) and the observed label row (True for group a)."""
+    if len(group_a) < 2 or len(group_b) < 2:
+        raise ValueError("each group needs at least 2 subjects")
+    subjects = list(group_a) + list(group_b)
+    n = subjects[0].n
+    iu, ju = _edge_index(n)
     rows = []
-    for cm in group:
+    for cm in subjects:
+        if cm.n != n:
+            raise ValueError(f"inconsistent node counts: {cm.n} != {n}")
         vals = cm.values[iu, ju]
         if cm.measure in CORRELATION_MEASURES:
             vals = fisher_z(np.clip(vals, -1 + 1e-12, 1 - 1e-12))
         rows.append(vals)
-    return np.vstack(rows)
-
-
-def _validate_groups(group_a, group_b):
-    if len(group_a) < 2 or len(group_b) < 2:
-        raise ValueError("each group needs at least 2 subjects")
-    n = group_a[0].n
-    for cm in list(group_a) + list(group_b):
-        if cm.n != n:
-            raise ValueError(f"inconsistent node counts: {cm.n} != {n}")
-    return n
+    observed = np.zeros((1, len(subjects)), dtype=bool)
+    observed[0, : len(group_a)] = True
+    return n, np.vstack(rows), observed
 
 
 def _t_for_labels(X, labels_a):
@@ -92,14 +97,8 @@ def edgewise_compare(group_a, group_b, correction="bh-fdr"):
     Zero pooled variance at an edge leaves that edge flagged with undefined
     p (NaN) and q = 1.
     """
-    n = _validate_groups(group_a, group_b)
-    iu, ju = _edge_index(n)
-    X = np.vstack(
-        [_group_edge_values(group_a, iu, ju), _group_edge_values(group_b, iu, ju)]
-    )
-    labels = np.zeros((1, X.shape[0]), dtype=bool)
-    labels[0, : len(group_a)] = True
-    t, denom = _t_for_labels(X, labels)
+    n, X, observed = _edge_panel(group_a, group_b)
+    t, denom = _t_for_labels(X, observed)
     t, denom = t[0], denom[0]
     undefined = ~(denom > 0)
     df = len(group_a) + len(group_b) - 2
@@ -210,12 +209,51 @@ def _max_cluster_sizes(rows, labels, row_count, min_edges):
     return out
 
 
-def _permutation_labels(n_a, n_total, permutations, seed, tag):
-    labels = np.zeros((permutations, n_total), dtype=bool)
-    for p in range(permutations):
-        rng = rng_for(seed, tag, p)
-        labels[p, rng.permutation(n_total)[:n_a]] = True
-    return labels
+_PERMUTATION_CHUNK = 64  # permutations whose t statistics are held at once
+
+
+def _cluster_permutation_test(
+    method, group_a, group_b, t_threshold, permutations, seed, alternative, clusters, min_edges
+):
+    """Max-cluster-size permutation test shared by nbs and spc.
+
+    clusters(n, iu, ju, masks) labels the supra-threshold edges of each mask
+    row and returns (row, edge index, cluster label) per edge; clusters with
+    fewer than min_edges edges are dropped. Permutation p relabels subjects
+    with rng_for(seed, f"{method}_perm", p), and the null is built in chunks
+    of _PERMUTATION_CHUNK permutations.
+    """
+    if permutations < 100:
+        raise ValueError("need at least 100 permutations")
+    n, X, observed = _edge_panel(group_a, group_b)
+    iu, ju = _edge_index(n)
+    t_obs = _t_for_labels(X, observed)[0]
+    _, edges, labels = clusters(n, iu, ju, _supra_mask(t_obs, t_threshold, alternative))
+    found = _cluster_lists(edges, labels, min_edges)
+    found.sort(key=lambda c: (-len(c), c))
+    n_total, tag = X.shape[0], f"{method}_perm"
+    null_max = np.zeros(permutations)
+    for lo in range(0, permutations, _PERMUTATION_CHUNK):
+        perms = range(lo, min(lo + _PERMUTATION_CHUNK, permutations))
+        shuffled = np.zeros((len(perms), n_total), dtype=bool)
+        for row, p in enumerate(perms):
+            shuffled[row, rng_for(seed, tag, p).permutation(n_total)[: len(group_a)]] = True
+        t = _t_for_labels(X, shuffled)[0]
+        rows, _, labels = clusters(n, iu, ju, _supra_mask(t, t_threshold, alternative))
+        null_max[lo : perms.stop] = _max_cluster_sizes(rows, labels, len(perms), min_edges)
+    sizes = [len(c) for c in found]
+    return ComponentResult(
+        method=method,
+        n=n,
+        clusters=[[(int(iu[e]), int(ju[e])) for e in c] for c in found],
+        sizes=sizes,
+        fwe_p=[float((np.sum(null_max >= s) + 1) / (permutations + 1)) for s in sizes],
+        t_threshold=float(t_threshold),
+        permutations=permutations,
+        alternative=alternative,
+        seed=int(seed),
+        null_max=null_max,
+    )
 
 
 def nbs(group_a, group_b, t_threshold, permutations=1000, seed=0, alternative="two_sided"):
@@ -226,38 +264,8 @@ def nbs(group_a, group_b, t_threshold, permutations=1000, seed=0, alternative="t
     component size reaches it. No supra-threshold edges yields an empty
     result rather than an error.
     """
-    if permutations < 100:
-        raise ValueError("need at least 100 permutations")
-    n = _validate_groups(group_a, group_b)
-    iu, ju = _edge_index(n)
-    X = np.vstack(
-        [_group_edge_values(group_a, iu, ju), _group_edge_values(group_b, iu, ju)]
-    )
-    n_a, n_total = len(group_a), X.shape[0]
-    obs_labels = np.zeros((1, n_total), dtype=bool)
-    obs_labels[0, :n_a] = True
-    t_obs = _t_for_labels(X, obs_labels)[0]
-    _, edges, comp = _node_components(n, iu, ju, _supra_mask(t_obs, t_threshold, alternative))
-    comps = _cluster_lists(edges, comp, 1)
-    comps.sort(key=lambda c: (-len(c), c))
-    labels = _permutation_labels(n_a, n_total, permutations, seed, "nbs_perm")
-    t_perm = _t_for_labels(X, labels)[0]
-    rows, _, comp = _node_components(n, iu, ju, _supra_mask(t_perm, t_threshold, alternative))
-    null_max = _max_cluster_sizes(rows, comp, permutations, 1)
-    sizes = [len(c) for c in comps]
-    fwe = [float((np.sum(null_max >= s) + 1) / (permutations + 1)) for s in sizes]
-    clusters = [[(int(iu[e]), int(ju[e])) for e in sorted(c)] for c in comps]
-    return ComponentResult(
-        method="nbs",
-        n=n,
-        clusters=clusters,
-        sizes=sizes,
-        fwe_p=fwe,
-        t_threshold=float(t_threshold),
-        permutations=permutations,
-        alternative=alternative,
-        seed=int(seed),
-        null_max=null_max,
+    return _cluster_permutation_test(
+        "nbs", group_a, group_b, t_threshold, permutations, seed, alternative, _node_components, 1
     )
 
 
@@ -286,43 +294,22 @@ def spc(
     Family-wise p-values come from the same max-cluster-size permutation
     scheme as nbs.
     """
-    if permutations < 100:
-        raise ValueError("need at least 100 permutations")
-    n = _validate_groups(group_a, group_b)
     node_adj = np.asarray(node_adjacency)
-    if node_adj.shape != (n, n):
-        raise ValueError(f"node adjacency must be ({n}, {n}), got {node_adj.shape}")
-    iu, ju = _edge_index(n)
-    X = np.vstack(
-        [_group_edge_values(group_a, iu, ju), _group_edge_values(group_b, iu, ju)]
-    )
-    n_a, n_total = len(group_a), X.shape[0]
-    obs_labels = np.zeros((1, n_total), dtype=bool)
-    obs_labels[0, :n_a] = True
-    t_obs = _t_for_labels(X, obs_labels)[0]
-    _, edges, cluster = _edge_clusters_pairwise(
-        iu, ju, _supra_mask(t_obs, t_threshold, alternative), node_adj
-    )
-    obs_clusters = _cluster_lists(edges, cluster, _SPC_MIN_CLUSTER_EDGES)
-    obs_clusters.sort(key=lambda c: (-len(c), c))
-    labels = _permutation_labels(n_a, n_total, permutations, seed, "spc_perm")
-    t_perm = _t_for_labels(X, labels)[0]
-    rows, _, cluster = _edge_clusters_pairwise(
-        iu, ju, _supra_mask(t_perm, t_threshold, alternative), node_adj
-    )
-    null_max = _max_cluster_sizes(rows, cluster, permutations, _SPC_MIN_CLUSTER_EDGES)
-    sizes = [len(c) for c in obs_clusters]
-    fwe = [float((np.sum(null_max >= s) + 1) / (permutations + 1)) for s in sizes]
-    clusters = [[(int(iu[e]), int(ju[e])) for e in c] for c in obs_clusters]
-    return ComponentResult(
-        method="spc",
-        n=n,
-        clusters=clusters,
-        sizes=sizes,
-        fwe_p=fwe,
-        t_threshold=float(t_threshold),
-        permutations=permutations,
-        alternative=alternative,
-        seed=int(seed),
-        null_max=null_max,
+
+    def clusters(n, iu, ju, masks):
+        # n is known only after the group checks, which keep precedence
+        if node_adj.shape != (n, n):
+            raise ValueError(f"node adjacency must be ({n}, {n}), got {node_adj.shape}")
+        return _edge_clusters_pairwise(iu, ju, masks, node_adj)
+
+    return _cluster_permutation_test(
+        "spc",
+        group_a,
+        group_b,
+        t_threshold,
+        permutations,
+        seed,
+        alternative,
+        clusters,
+        _SPC_MIN_CLUSTER_EDGES,
     )

@@ -69,6 +69,19 @@ def load_config(path, out_dir=None):
     return validate_config(raw, base, out_dir=out_dir)
 
 
+def _listed(problems, tag, key, value):
+    """value if it is a list; otherwise record a problem and return []."""
+    if isinstance(value, list):
+        return value
+    problems.append(f"{tag}: {key} must be a list, got {value!r}")
+    return []
+
+
+def _outside(indices, count):
+    """Whether a subject index falls outside 0..count-1 (count None: manifest unread)."""
+    return count is not None and any(not (0 <= int(s) < count) for s in indices)
+
+
 def validate_config(raw, base_dir=".", out_dir=None):
     """Check every field of a raw config dict; raise ConfigError listing all
     problems, or return a PipelineConfig."""
@@ -78,7 +91,7 @@ def validate_config(raw, base_dir=".", out_dir=None):
 
     manifest = raw.get("manifest")
     manifest_doc = None
-    subject_count = 0
+    subject_count = None  # known once the manifest is read
     if not manifest:
         problems.append("missing 'manifest' (path to the input manifest JSON)")
     else:
@@ -110,6 +123,8 @@ def validate_config(raw, base_dir=".", out_dir=None):
                 f"estimator {est_name!r} unknown; choose from {ESTIMATOR_NAMES}"
             )
         est_params = est.get("params", {})
+        if not isinstance(est_params, dict):
+            problems.append(f"estimator params must be an object, got {est_params!r}")
 
     threshold = raw.get("threshold", {"method": "fixed_threshold", "criterion": "value", "tau": 0.0})
     problems += spec_problems(threshold)
@@ -145,12 +160,9 @@ def validate_config(raw, base_dir=".", out_dir=None):
             if method not in ("edgewise", "nbs", "spc"):
                 problems.append(f"{tag}: compare method {method!r} unknown")
             for key in ("group_a", "group_b"):
-                members = params.get(key)
-                if not members:
+                if not params.get(key):
                     problems.append(f"{tag}: compare needs subject index list {key!r}")
-                elif manifest_doc and any(
-                    not (0 <= int(s) < subject_count) for s in members
-                ):
+                elif _outside(_listed(problems, tag, key, params[key]), subject_count):
                     problems.append(f"{tag}: {key} indices out of range 0..{subject_count - 1}")
             if method == "spc" and not has_coordinates:
                 problems.append(
@@ -171,7 +183,7 @@ def validate_config(raw, base_dir=".", out_dir=None):
                     f"choose from {metrics.METRIC_NAMES}"
                 )
         elif kind == "metrics":
-            for m in params.get("metrics", ["density"]):
+            for m in _listed(problems, tag, "metrics", params.get("metrics", [])):
                 if m not in metrics.METRIC_NAMES:
                     problems.append(
                         f"{tag}: metric {m!r} unknown; choose from {metrics.METRIC_NAMES}"
@@ -190,8 +202,12 @@ def validate_config(raw, base_dir=".", out_dir=None):
                         f"{tag}: omega kind {kind_name!r} needs node coordinates "
                         "in the manifest for dyad distances"
                     )
+        elif kind == "smallworld":
+            subjects = _listed(problems, tag, "subjects", params.get("subjects", []))
+            if _outside(subjects, subject_count):
+                problems.append(f"{tag}: subjects indices out of range 0..{subject_count - 1}")
         elif kind == "ergm":
-            for term in params.get("terms", ["edges"]):
+            for term in _listed(problems, tag, "terms", params.get("terms", [])):
                 if term not in ergm.TERM_NAMES:
                     problems.append(f"{tag}: ergm term {term!r} unknown")
 
@@ -298,7 +314,6 @@ def _analysis_compare(config, params, panel, matrices, networks, seed):
     method = params.get("method", "nbs")
     group_a = [matrices[int(s)] for s in params["group_a"]]
     group_b = [matrices[int(s)] for s in params["group_b"]]
-    alternative = params.get("alternative", "two_sided")
     if method == "edgewise":
         res = groupcompare.edgewise_compare(
             group_a, group_b, correction=params.get("correction", "bh-fdr")
@@ -313,27 +328,18 @@ def _analysis_compare(config, params, panel, matrices, networks, seed):
             ],
         )
         return res
+    test = {
+        "t_threshold": params["t_threshold"],
+        "permutations": params.get("permutations", 1000),
+        "seed": derive_seed(seed, "permutations"),
+        "alternative": params.get("alternative", "two_sided"),
+    }
     if method == "nbs":
-        return groupcompare.nbs(
-            group_a,
-            group_b,
-            t_threshold=params["t_threshold"],
-            permutations=params.get("permutations", 1000),
-            seed=derive_seed(seed, "permutations"),
-            alternative=alternative,
-        )
+        return groupcompare.nbs(group_a, group_b, **test)
     adjacency = groupcompare.adjacency_from_coordinates(
         panel.coordinates, radius=params.get("radius", 1.5)
     )
-    return groupcompare.spc(
-        group_a,
-        group_b,
-        t_threshold=params["t_threshold"],
-        node_adjacency=adjacency,
-        permutations=params.get("permutations", 1000),
-        seed=derive_seed(seed, "permutations"),
-        alternative=alternative,
-    )
+    return groupcompare.spc(group_a, group_b, node_adjacency=adjacency, **test)
 
 
 def _analysis_ergm(config, params, panel, matrices, networks, seed):
@@ -453,9 +459,12 @@ def run_pipeline(config):
         label = kind if counts[kind] == 1 else f"{kind}_{counts[kind]}"
         seed = derive_seed(config.seed, "analysis", label)
         stage_seeds[label] = seed
-        result = _ANALYSIS_FUNCTIONS[kind](
-            config, spec.get("params", {}), panel, matrices, networks, seed
-        )
+        try:
+            result = _ANALYSIS_FUNCTIONS[kind](
+                config, spec.get("params", {}), panel, matrices, networks, seed
+            )
+        except TypeError as exc:
+            raise ValueError(f"analysis {label!r} failed: {exc}") from exc
         report = {
             "analysis": kind,
             "label": label,

@@ -233,6 +233,57 @@ def test_pipeline_non_object_field_exits_2(tmp_path, capsys, field, needle):
     assert any(needle in p for p in report["problems"])
 
 
+NBS = {"method": "nbs", "group_a": [0, 1, 2], "group_b": [3, 4, 5], "t_threshold": 2.0}
+
+
+@pytest.mark.parametrize(
+    "patch, code, needle",
+    [
+        ({"estimator": {"name": "correlation", "params": ["x"]}}, 2, "estimator params must be"),
+        ({"type": "compare", "params": {**NBS, "group_a": 5}}, 2, "group_a must be a list"),
+        ({"type": "ergm", "params": {"terms": 5}}, 2, "terms must be a list"),
+        ({"type": "metrics", "params": {"metrics": 5}}, 2, "metrics must be a list"),
+        ({"type": "smallworld", "params": {"subjects": 5}}, 2, "subjects must be a list"),
+        ({"type": "smallworld", "params": {"subjects": [99]}}, 2, "subjects indices out of range"),
+        ({"type": "compare", "params": {**NBS, "permutations": "500"}}, 1, "analysis 'compare'"),
+        ({"type": "compare", "params": {**NBS, "t_threshold": "2"}}, 1, "analysis 'compare'"),
+        (
+            {"type": "smallworld", "params": {"subjects": [0], "null_count": "3"}},
+            1,
+            "analysis 'smallworld'",
+        ),
+        (
+            {"type": "twopart", "params": {"omega": {"kind": "exponential", "phi": "x"}}},
+            1,
+            "analysis 'twopart'",
+        ),
+    ],
+    ids=[
+        "estimator_params", "group_a", "terms", "metrics", "subjects", "subjects_range",
+        "permutations", "t_threshold", "null_count", "omega_phi",
+    ],
+)
+def test_pipeline_wrongly_typed_param_is_a_structured_error(
+    tmp_path, capsys, patch, code, needle
+):
+    """A wrongly typed or out-of-range param is a validation problem (exit 2)
+    or a ValueError naming the analysis (exit 1), never a traceback. patch
+    is either a config field or one analysis to run."""
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    cfg.update(patch if "estimator" in patch else {"analyses": [patch]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    got, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
+    assert got == code and out == ""
+    report = json.loads(err)
+    if code == 2:
+        assert report["error"] == "validation"
+        assert any(needle in p for p in report["problems"])
+    else:
+        assert report["error"] == "ValueError" and needle in report["message"]
+
+
 @pytest.mark.parametrize(
     "threshold, needle",
     [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.sparse.csgraph import connected_components
 
 from fcnets.estimators import ConnectionMatrix
 from fcnets.groupcompare import (
@@ -12,6 +13,7 @@ from fcnets.groupcompare import (
     spc,
 )
 from fcnets.panels import fisher_z
+from fcnets.runtime import rng_for
 
 
 def _edge_idx(n):
@@ -204,3 +206,77 @@ def test_spc_adjacency_shape_guard():
     ga, gb = make_groups(5, subjects=5, seed=11)
     with pytest.raises(ValueError, match="node adjacency"):
         spc(ga, gb, t_threshold=3.0, node_adjacency=np.zeros((4, 4), bool), permutations=101)
+
+
+def _oracle_max_cluster(method, pairs, supra, near):
+    """Edge count of the largest cluster of supra-threshold edges (0 if none)."""
+    edges = [pairs[k] for k in np.flatnonzero(supra)]
+    if method == "nbs":
+        n = len(near)
+        graph = np.zeros((n, n))
+        for a, b in edges:
+            graph[a, b] = 1
+        _, comp = connected_components(graph, directed=False)
+        sizes = np.bincount(comp[[a for a, _ in edges]], minlength=n) if edges else [0]
+        return max(sizes)
+    # spc: grow clusters over pairwise neighbors, then drop single edges
+    def close(x, y):
+        return x == y or near[x, y]
+
+    seen, best = set(), 0
+    for start in range(len(edges)):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, size = [start], 0
+        while stack:
+            (a, b), size = edges[stack.pop()], size + 1
+            for k, (c, d) in enumerate(edges):
+                if k not in seen and (
+                    (close(a, c) and close(b, d)) or (close(a, d) and close(b, c))
+                ):
+                    seen.add(k)
+                    stack.append(k)
+        if size >= 2:
+            best = max(best, size)
+    return best
+
+
+# 100 and 257 end inside a 64-permutation chunk, 128 ends on a chunk
+# boundary and 129 starts a new chunk with one permutation in it
+@pytest.mark.parametrize("permutations", [100, 128, 129, 257])
+@pytest.mark.parametrize("method", ["nbs", "spc"])
+def test_null_distribution_matches_per_permutation_oracle(method, permutations):
+    n, n_a, seed, threshold = 14, 8, 21, 1.8
+    planted = [(0, 1), (0, 2), (1, 2)]
+    ga, gb = make_groups(n, subjects=n_a, shift_edges=planted, seed=12, paired_noise=False)
+    coords = np.random.default_rng(13).uniform(0, 3, (n, 2))
+    near = adjacency_from_coordinates(coords, radius=2.0)
+    if method == "nbs":
+        res = nbs(ga, gb, t_threshold=threshold, permutations=permutations, seed=seed)
+    else:
+        res = spc(ga, gb, threshold, near, permutations=permutations, seed=seed)
+
+    iu, ju = np.triu_indices(n, 1)
+    pairs = list(zip(iu.tolist(), ju.tolist()))
+    X = np.vstack([fisher_z(cm.values[iu, ju]) for cm in ga + gb])
+    total = 2 * n_a
+
+    def max_cluster(in_a):
+        t = stats.ttest_ind(X[in_a], X[~in_a], axis=0, equal_var=True).statistic
+        assert np.min(np.abs(np.abs(t) - threshold)) > 1e-9  # no edge on the threshold
+        return _oracle_max_cluster(method, pairs, np.abs(t) > threshold, near)
+
+    null_max = np.zeros(permutations)
+    for p in range(permutations):
+        in_a = np.zeros(total, dtype=bool)
+        in_a[rng_for(seed, f"{method}_perm", p).permutation(total)[:n_a]] = True
+        null_max[p] = max_cluster(in_a)
+    assert np.array_equal(res.null_max, null_max)
+    # the data make a dropped chunk (zeros) or a repeated one (copied values) show
+    assert null_max[-1] > 0 and np.mean(null_max == 0) < 0.05
+    assert len(np.unique(null_max)) > 5
+    observed = np.arange(total) < n_a
+    assert res.sizes[0] == max_cluster(observed)
+    expected_p = [(np.sum(null_max >= s) + 1) / (permutations + 1) for s in res.sizes]
+    assert res.fwe_p == expected_p

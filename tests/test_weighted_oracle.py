@@ -2,6 +2,8 @@
 
 Random graphs carry unequal weights, so a metric that ignores weights, or
 uses weight instead of 1/weight as the edge length, disagrees with networkx.
+Eigenvector centrality and assortativity are checked on the same graphs taken
+as binary graphs.
 """
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from fcnets.communities import modularity
 from fcnets.metrics import (
+    assortativity,
     betweenness,
     centrality,
     clustering,
@@ -112,3 +115,25 @@ def test_modularity_of_random_partition(seed):
     parts = [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
     expected = nx.community.modularity(G, parts, weight="weight")
     assert modularity(g, labels) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_binary_eigenvector_centrality_and_assortativity(seed):
+    g = random_weighted(seed)[0].binary()
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    # the largest component; ties go to the one holding the smallest node
+    comp = min(nx.connected_components(G), key=lambda c: (-len(c), min(c)))
+    expected = np.zeros(g.n)
+    for v, x in nx.eigenvector_centrality_numpy(G.subgraph(comp)).items():
+        expected[v] = x
+    assert np.allclose(centrality(g, "eigenvector").per_node, expected, rtol=0, atol=1e-8)
+
+    degree = dict(G.degree())
+    if len({degree[v] for e in G.edges for v in e}) == 1:
+        with pytest.raises(ValueError, match="equal degree"):
+            assortativity(g)
+        return
+    expected = nx.degree_assortativity_coefficient(G)
+    assert assortativity(g).value == pytest.approx(expected, rel=1e-12, abs=1e-12)
