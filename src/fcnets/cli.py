@@ -134,28 +134,19 @@ def _cmd_compare(args):
             "q": res.q,
             "significant": res.significant_edges(args.alpha),
         }
+    test = {
+        "t_threshold": args.t_threshold,
+        "permutations": args.permutations,
+        "seed": args.seed,
+        "alternative": args.alternative,
+    }
     if args.method == "nbs":
-        return groupcompare.nbs(
-            group_a,
-            group_b,
-            t_threshold=args.t_threshold,
-            permutations=args.permutations,
-            seed=args.seed,
-            alternative=args.alternative,
-        )
+        return groupcompare.nbs(group_a, group_b, **test)
     if not args.coordinates:
         raise ValueError("spc needs --coordinates (CSV of node positions)")
     coords = np.loadtxt(args.coordinates, delimiter=",", ndmin=2)
     adjacency = groupcompare.adjacency_from_coordinates(coords, radius=args.radius)
-    return groupcompare.spc(
-        group_a,
-        group_b,
-        t_threshold=args.t_threshold,
-        node_adjacency=adjacency,
-        permutations=args.permutations,
-        seed=args.seed,
-        alternative=args.alternative,
-    )
+    return groupcompare.spc(group_a, group_b, node_adjacency=adjacency, **test)
 
 
 def _cmd_ergm(args):

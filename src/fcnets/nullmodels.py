@@ -26,64 +26,68 @@ from .networks import Network
 from .runtime import derive_seed, parallel_map, rng_for
 
 
+_SWAP_BLOCK = 4096  # swap proposals drawn per rng call
+
+
 def rewire_preserving_degree(g, swaps_per_edge=10, seed=0):
     """Randomize a network by double-edge swaps, preserving every degree.
 
-    Two edges (a, b), (c, d) are replaced by (a, d), (c, b) when that creates
-    no self-loop or duplicate. Swapping continues until
-    swaps_per_edge * |edges| successes; 100 * |edges| consecutive rejections
-    triggers a warning and returns the best effort.
+    A proposal picks two edges (a, b), (c, d) and one of two orientations at
+    random, replacing them by (a, d), (c, b) or by (a, c), (b, d); it is
+    rejected when that creates a self-loop or a duplicate edge. Swapping
+    continues until swaps_per_edge * |edges| successes; 100 * |edges|
+    consecutive rejections trigger a warning and return the best effort.
+
+    Only successes are counted, so the output follows the jump chain of the
+    swap walk: a graph x is sampled with probability proportional to a(x),
+    the number of accepted (edge, edge, orientation) proposals from x, not
+    uniformly over the graphs with that degree sequence.
     """
     if g.weights is not None:
         raise ValueError("rewiring needs an unweighted network; pass g.binary()")
     if g.edge_count < 2:
         raise ValueError("rewiring needs at least 2 edges")
     rng = np.random.default_rng(seed)
-    edges = g.pairs.tolist()
-    edge_set = set(map(tuple, edges))
-    m = len(edges)
+    n = g.n
+    lo, hi = g.pairs.T.tolist()
+    keys = {i * n + j for i, j in zip(lo, hi)}  # edge (i, j), i < j, as i * n + j
+    m = len(lo)
     target = swaps_per_edge * m
     max_stale = 100 * m
-    successes = 0
-    stale = 0
-    while successes < target:
-        if stale >= max_stale:
-            warnings.warn(
-                f"rewiring stalled after {successes}/{target} swaps; returning best effort",
-                RuntimeWarning,
-            )
-            break
-        e1, e2 = rng.integers(0, m, size=2)
-        if e1 == e2:
-            stale += 1
-            continue
-        a, b = edges[e1]
-        c, d = edges[e2]
-        # two swap orientations: (a,d),(c,b) or (a,c),(b,d)
-        if rng.integers(0, 2):
-            b, d = d, b
-        else:
-            b, c = c, b
-        # proposed edges are now (a, b) and (c, d)
-        if a == b or c == d:
-            stale += 1
-            continue
-        p1 = (min(a, b), max(a, b))
-        p2 = (min(c, d), max(c, d))
-        old1 = (min(edges[e1][0], edges[e1][1]), max(edges[e1][0], edges[e1][1]))
-        old2 = (min(edges[e2][0], edges[e2][1]), max(edges[e2][0], edges[e2][1]))
-        if p1 == p2 or p1 in edge_set or p2 in edge_set:
-            stale += 1
-            continue
-        edge_set.discard(old1)
-        edge_set.discard(old2)
-        edge_set.add(p1)
-        edge_set.add(p2)
-        edges[e1] = [p1[0], p1[1]]
-        edges[e2] = [p2[0], p2[1]]
-        successes += 1
-        stale = 0
-    return Network(g.n, sorted(edge_set), meta={"null": "degree_preserving_rewire", "seed": int(seed)})
+    successes = stale = 0
+    while successes < target and stale < max_stale:
+        first, second = rng.integers(0, m, size=(_SWAP_BLOCK, 2)).T.tolist()
+        flips = rng.integers(0, 2, size=_SWAP_BLOCK).tolist()
+        for e1, e2, flip in zip(first, second, flips):
+            a, b, c, d = lo[e1], hi[e1], lo[e2], hi[e2]
+            if flip:
+                b, d = d, b
+            else:
+                b, c = c, b
+            # proposed edges are now (a, b) and (c, d); e1 == e2 gives a self-loop or k1 == k2
+            k1 = a * n + b if a < b else b * n + a
+            k2 = c * n + d if c < d else d * n + c
+            if a == b or c == d or k1 == k2 or k1 in keys or k2 in keys:
+                stale += 1
+                if stale == max_stale:
+                    break
+                continue
+            keys.remove(lo[e1] * n + hi[e1])
+            keys.remove(lo[e2] * n + hi[e2])
+            keys.add(k1)
+            keys.add(k2)
+            lo[e1], hi[e1] = divmod(k1, n)
+            lo[e2], hi[e2] = divmod(k2, n)
+            successes += 1
+            stale = 0
+            if successes >= target:
+                break
+    if successes < target:
+        warnings.warn(
+            f"rewiring stalled after {successes}/{target} swaps; returning best effort",
+            RuntimeWarning,
+        )
+    return Network(n, np.column_stack((lo, hi)), meta={"null": "degree_preserving_rewire", "seed": int(seed)})
 
 
 def lattice_reference(g):
@@ -274,12 +278,19 @@ def _fit_tail(values, min_tail=50):
     return best
 
 
+def _powerlaw_table(alpha, x_min):
+    """Inverse-CDF table (values, cumulative mass) for sample_powerlaw."""
+    return _powerlaw_cdf(alpha, int(x_min), max(int(x_min) * 100000, 10000))
+
+
+def _draw(table, size, rng):
+    xs, cdf = table
+    return xs[np.searchsorted(cdf, rng.random(size) * cdf[-1])]
+
+
 def sample_powerlaw(alpha, x_min, size, rng):
     """Exact draws from the discrete power law via an inverse-CDF table."""
-    cap = max(int(x_min) * 100000, 10000)
-    xs, cdf = _powerlaw_cdf(alpha, int(x_min), cap)
-    u = rng.random(size) * cdf[-1]
-    return xs[np.searchsorted(cdf, u)]
+    return _draw(_powerlaw_table(alpha, x_min), size, rng)
 
 
 def _truncated_loglik(tail, alpha, rate, x_min):
@@ -330,17 +341,18 @@ def powerlaw_fit(degrees, bootstrap_reps=200, seed=0, min_tail=50):
     below = values[values < x_min]
     n = values.size
     p_tail = tail_n / n
+    table = _powerlaw_table(alpha, x_min)
     exceed = 0
     for b in range(bootstrap_reps):
         take_tail = rng.random(n) < p_tail
         n_tail = int(take_tail.sum())
         synth = np.empty(n, dtype=int)
-        synth[:n_tail] = sample_powerlaw(alpha, x_min, n_tail, rng)
+        synth[:n_tail] = _draw(table, n_tail, rng)
         if n - n_tail > 0:
             if below.size:
                 synth[n_tail:] = rng.choice(below, size=n - n_tail, replace=True)
             else:
-                synth[n_tail:] = sample_powerlaw(alpha, x_min, n - n_tail, rng)
+                synth[n_tail:] = _draw(table, n - n_tail, rng)
         try:
             _, _, D_b, _, _ = _fit_tail(synth, min_tail)
         except ValueError:

@@ -77,9 +77,14 @@ def _listed(problems, tag, key, value):
     return []
 
 
-def _outside(indices, count):
-    """Whether a subject index falls outside 0..count-1 (count None: manifest unread)."""
-    return count is not None and any(not (0 <= int(s) < count) for s in indices)
+def _index_problems(tag, key, indices, count):
+    """Problems with subject indices: not integers, or outside 0..count-1
+    (count None: manifest unread)."""
+    if not all(isinstance(s, (int, np.integer)) for s in indices):
+        return [f"{tag}: {key} indices must be integers, got {indices!r}"]
+    if count is not None and any(not 0 <= s < count for s in indices):
+        return [f"{tag}: {key} indices out of range 0..{count - 1}"]
+    return []
 
 
 def validate_config(raw, base_dir=".", out_dir=None):
@@ -162,8 +167,9 @@ def validate_config(raw, base_dir=".", out_dir=None):
             for key in ("group_a", "group_b"):
                 if not params.get(key):
                     problems.append(f"{tag}: compare needs subject index list {key!r}")
-                elif _outside(_listed(problems, tag, key, params[key]), subject_count):
-                    problems.append(f"{tag}: {key} indices out of range 0..{subject_count - 1}")
+                else:
+                    indices = _listed(problems, tag, key, params[key])
+                    problems += _index_problems(tag, key, indices, subject_count)
             if method == "spc" and not has_coordinates:
                 problems.append(
                     f"{tag}: spc requires node coordinates in the manifest "
@@ -173,7 +179,9 @@ def validate_config(raw, base_dir=".", out_dir=None):
                 problems.append(f"{tag}: {method} needs 't_threshold'")
         elif kind == "bootstrap":
             subject = params.get("subject", 0)
-            if manifest_doc and not (0 <= int(subject) < max(subject_count, 1)):
+            if not isinstance(subject, (int, np.integer)):
+                problems.append(f"{tag}: bootstrap subject must be an integer, got {subject!r}")
+            elif manifest_doc and not (0 <= subject < max(subject_count, 1)):
                 problems.append(f"{tag}: bootstrap subject {subject} out of range")
             if "metric" not in params:
                 problems.append(f"{tag}: bootstrap needs 'metric'")
@@ -204,8 +212,7 @@ def validate_config(raw, base_dir=".", out_dir=None):
                     )
         elif kind == "smallworld":
             subjects = _listed(problems, tag, "subjects", params.get("subjects", []))
-            if _outside(subjects, subject_count):
-                problems.append(f"{tag}: subjects indices out of range 0..{subject_count - 1}")
+            problems += _index_problems(tag, "subjects", subjects, subject_count)
         elif kind == "ergm":
             for term in _listed(problems, tag, "terms", params.get("terms", [])):
                 if term not in ergm.TERM_NAMES:

@@ -245,6 +245,12 @@ NBS = {"method": "nbs", "group_a": [0, 1, 2], "group_b": [3, 4, 5], "t_threshold
         ({"type": "metrics", "params": {"metrics": 5}}, 2, "metrics must be a list"),
         ({"type": "smallworld", "params": {"subjects": 5}}, 2, "subjects must be a list"),
         ({"type": "smallworld", "params": {"subjects": [99]}}, 2, "subjects indices out of range"),
+        ({"type": "compare", "params": {**NBS, "group_a": [[0], 1]}}, 2, "group_a indices must be"),
+        (
+            {"type": "bootstrap", "params": {"subject": [0], "metric": "density"}},
+            2,
+            "bootstrap subject must be",
+        ),
         ({"type": "compare", "params": {**NBS, "permutations": "500"}}, 1, "analysis 'compare'"),
         ({"type": "compare", "params": {**NBS, "t_threshold": "2"}}, 1, "analysis 'compare'"),
         (
@@ -260,6 +266,7 @@ NBS = {"method": "nbs", "group_a": [0, 1, 2], "group_b": [3, 4, 5], "t_threshold
     ],
     ids=[
         "estimator_params", "group_a", "terms", "metrics", "subjects", "subjects_range",
+        "group_a_nested", "bootstrap_subject",
         "permutations", "t_threshold", "null_count", "omega_phi",
     ],
 )

@@ -1,12 +1,17 @@
 """Null models: rewiring, lattice references, small-world indices, power laws."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import zeta
+from scipy.stats import chisquare
 
 from conftest import cycle_graph, erdos_renyi, ring_lattice, star_graph, watts_strogatz
-from fcnets.networks import BinaryNetwork
+from fcnets.networks import BinaryNetwork, Network
 from fcnets.nullmodels import (
+    _SWAP_BLOCK,
     lattice_reference,
     powerlaw_fit,
     rewire_preserving_degree,
@@ -46,6 +51,118 @@ def test_rewire_stalls_on_star():
     with pytest.warns(RuntimeWarning, match="stalled"):
         null = rewire_preserving_degree(g, swaps_per_edge=2, seed=0)
     assert set(null.edges) == set(g.edges)
+
+
+def _accepted_proposals(edges):
+    """a(x): how many of the (e1, e2, orientation) proposals from this edge
+    list (each edge (i, j) with i < j) the swap rule accepts."""
+    present = set(edges)
+    count = 0
+    for (a, b), (c, d) in itertools.permutations(edges, 2):
+        for p1, p2 in (((a, d), (c, b)), ((a, c), (b, d))):
+            p1, p2 = tuple(sorted(p1)), tuple(sorted(p2))
+            if p1[0] != p1[1] and p2[0] != p2[1] and p1 != p2:
+                count += p1 not in present and p2 not in present
+    return count
+
+
+def test_rewire_samples_the_jump_chain_law():
+    """Counting only successful swaps makes the output follow the jump chain
+    of the swap walk, whose stationary law puts mass a(x) on graph x. Every
+    labelled graph with degrees (3, 2, 2, 3, 2, 2) is enumerated (54 of
+    them, a(x) from 22 to 28) and the rewired outputs of fixed seeds are
+    tested against that law."""
+    g = Network(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)])
+    degrees = list(g.degrees())
+    graphs = []
+    for edges in itertools.combinations(itertools.combinations(range(6), 2), g.edge_count):
+        if list(np.bincount(np.ravel(edges), minlength=6)) == degrees:
+            graphs.append(edges)
+    weight = np.array([_accepted_proposals(list(x)) for x in graphs], dtype=float)
+    assert len(graphs) == 54 and (weight.min(), weight.max()) == (22, 28)
+    index = {x: k for k, x in enumerate(graphs)}
+    counts = np.zeros(len(graphs))
+    reps = 4000
+    for seed in range(reps):
+        counts[index[tuple(rewire_preserving_degree(g, swaps_per_edge=20, seed=seed).edges)]] += 1
+    assert chisquare(counts, reps * weight / weight.sum()).pvalue >= 0.001
+
+
+def _gnm_with_isolated(rng):
+    """G(n, m) on the first 24 of 30 nodes: nodes 24..29 stay isolated."""
+    iu, ju = np.triu_indices(24, 1)
+    keep = rng.choice(iu.size, size=50, replace=False)
+    return Network(30, np.column_stack((iu[keep], ju[keep])))
+
+
+def _near_complete(rng):
+    """K_11 minus 10 random edges."""
+    iu, ju = np.triu_indices(11, 1)
+    keep = np.sort(rng.choice(iu.size, size=iu.size - 10, replace=False))
+    return Network(11, np.column_stack((iu[keep], ju[keep])))
+
+
+@pytest.mark.parametrize(
+    "family, swaps_per_edge",
+    [
+        (lambda rng: watts_strogatz(30, 4, 0.2, rng), 10),
+        (_gnm_with_isolated, 10),
+        (_near_complete, 3),
+    ],
+    ids=["watts_strogatz", "gnm_isolated", "near_complete"],
+)
+def test_rewire_invariants_over_many_seeds(family, swaps_per_edge):
+    for seed in range(200):
+        g = family(np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the target is reached: no stall warning
+            null = rewire_preserving_degree(g, swaps_per_edge=swaps_per_edge, seed=seed)
+        assert null.n == g.n and null.edge_count == g.edge_count
+        assert np.array_equal(null.degrees(), g.degrees())
+        assert np.all(null.pairs[:, 0] < null.pairs[:, 1])
+        assert len(set(null.edges)) == null.edge_count
+        assert null.meta == {"null": "degree_preserving_rewire", "seed": seed}
+        again = rewire_preserving_degree(g, swaps_per_edge=swaps_per_edge, seed=seed)
+        assert np.array_equal(again.pairs, null.pairs)
+
+
+def _one_swap_at_a_time(g, swaps_per_edge, seed):
+    """Reference rewire over tuple edges: the same proposals, read one by one
+    from the same blocks of draws, until exactly swaps_per_edge * m succeed."""
+    rng = np.random.default_rng(seed)
+    edges = [tuple(e) for e in g.pairs.tolist()]
+    present = set(edges)
+    m = len(edges)
+    queue = []
+    done = 0
+    while done < swaps_per_edge * m:
+        if not queue:
+            picks = rng.integers(0, m, size=(_SWAP_BLOCK, 2)).tolist()
+            flips = rng.integers(0, 2, size=_SWAP_BLOCK).tolist()
+            queue = list(zip(picks, flips))[::-1]
+        (e1, e2), flip = queue.pop()
+        (a, b), (c, d) = edges[e1], edges[e2]
+        new = ((a, d), (c, b)) if flip else ((a, c), (b, d))
+        p1, p2 = (tuple(sorted(p)) for p in new)
+        if e1 == e2 or p1[0] == p1[1] or p2[0] == p2[1]:
+            continue
+        if p1 == p2 or p1 in present or p2 in present:
+            continue
+        present -= {edges[e1], edges[e2]}
+        present |= {p1, p2}
+        edges[e1], edges[e2] = p1, p2
+        done += 1
+    return sorted(present)
+
+
+def test_rewire_stops_at_the_exact_target_across_block_boundaries(rng):
+    # 50 * 100 = 5000 swaps take more than one block of draws and end inside a later one
+    g = watts_strogatz(50, 4, 0.2, rng)
+    assert g.edge_count == 100 and (50 * g.edge_count) % _SWAP_BLOCK != 0
+    for seed in range(3):
+        null = rewire_preserving_degree(g, swaps_per_edge=50, seed=seed)
+        assert null.edges == _one_swap_at_a_time(g, 50, seed)
+        assert np.array_equal(null.degrees(), g.degrees())
 
 
 def test_lattice_reference_shape():
