@@ -158,11 +158,17 @@ def louvain(g, seed=0):
     return part
 
 
+_GN_TIE = 1e-9  # relative betweenness gap below which edges tie in girvan_newman
+
+
 def girvan_newman(g, max_communities=None):
     """Divisive detection by repeated removal of the highest-betweenness edge.
 
-    Returns the partition along the dendrogram with the highest modularity.
-    Bounded to n <= 500; larger graphs should use louvain.
+    Edges whose betweenness is within 1e-9 relative of the maximum count as
+    tied, and the smallest (i, j) among them is removed, so float rounding
+    in the betweenness sums cannot change which edge goes. Returns the
+    partition along the dendrogram with the highest modularity. Bounded to
+    n <= 500; larger graphs should use louvain.
     """
     if g.n > 500:
         raise ValueError("girvan_newman is bounded to n <= 500; use louvain for larger graphs")
@@ -183,7 +189,8 @@ def girvan_newman(g, max_communities=None):
         if max_communities is not None and ncomp >= max_communities:
             break
         ebc = edge_betweenness(work)
-        target = max(sorted(ebc), key=lambda e: (ebc[e], (-e[0], -e[1])))
+        top = max(ebc.values())
+        target = min(e for e, b in ebc.items() if b >= top * (1.0 - _GN_TIE))
         keep = np.any(work.pairs != target, axis=1)
         work = Network(work.n, work.pairs[keep], None if work.weights is None else work.weights[keep])
         a = comp_assignment(work)

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .panels import BandSpec
 
@@ -246,8 +247,8 @@ def _delay_vectors(x, embed):
     return x[idx]
 
 
-def _neighbor_membership(vectors, embed):
-    """Boolean (B, B) matrix: row b marks the k nearest delay vectors of b.
+def _neighbor_indices(vectors, embed):
+    """(B, k) indices: row b holds the k nearest delay vectors of b, in no order.
 
     Temporal neighbors closer than the embedding window are excluded so
     trivially-adjacent vectors never count as recurrences.
@@ -259,10 +260,7 @@ def _neighbor_membership(vectors, embed):
     offsets = np.abs(np.arange(B)[:, None] - np.arange(B)[None, :])
     d2[offsets < embed.window()] = np.inf
     np.fill_diagonal(d2, np.inf)
-    member = np.zeros((B, B), dtype=bool)
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    np.put_along_axis(member, part, True, axis=1)
-    return member
+    return np.argpartition(d2, k - 1, axis=1)[:, :k]
 
 
 def synchronization_matrix(series, embed=DelayEmbedding()):
@@ -282,13 +280,20 @@ def synchronization_matrix(series, embed=DelayEmbedding()):
         raise ValueError(
             f"series too short for embedding: {B} delay vectors with window {embed.window()}"
         )
-    members = [_neighbor_membership(_delay_vectors(series[i], embed), embed) for i in range(n)]
     k = embed.neighbor_count
-    vals = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = np.sum(members[i] & members[j]) / (B * k)
-            vals[i, j] = vals[j, i] = shared
+    # row i of the n x B^2 membership marks (b, c) when c is a neighbor of b
+    # for node i; one sparse product counts the shared pairs of every two nodes
+    cols = [
+        (np.arange(B)[:, None] * B + _neighbor_indices(_delay_vectors(x, embed), embed)).ravel()
+        for x in series
+    ]
+    member = csr_matrix(
+        (np.ones(n * B * k, dtype=np.int64), np.concatenate(cols), np.arange(n + 1) * (B * k)),
+        shape=(n, B * B),
+    )
+    shared = (member @ member.T).toarray()
+    np.fill_diagonal(shared, 0)
+    vals = shared / (B * k)
     return ConnectionMatrix(
         vals,
         "synchronization",

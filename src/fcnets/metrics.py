@@ -26,35 +26,48 @@ class MetricReport:
     flags: dict = field(default_factory=dict)
 
 
-def _sparse_adj(g, lengths=False):
-    """Symmetric CSR adjacency carrying edge weights, or 1/weight with lengths=True."""
-    w = g.edge_weights()
-    if lengths:
-        w = 1.0 / w
-    return csr_matrix(
-        (np.repeat(w, 2), (g.pairs.ravel(), g.pairs[:, ::-1].ravel())), shape=(g.n, g.n)
-    )
+def _csr_edges(g):
+    """Neighbour lists in CSR form, ascending within each row.
+
+    Returns (indptr, neighbours, edge ids): the slots of node v are
+    indptr[v]:indptr[v + 1], and each slot carries the row of `g.pairs`
+    that holds its edge.
+    """
+    rows = g.pairs.T.ravel()
+    cols = g.pairs[:, ::-1].T.ravel()
+    order = np.argsort(rows * g.n + cols)  # keys are distinct: (row, col) order
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=g.n), out=indptr[1:])
+    return indptr, cols[order], np.tile(np.arange(g.edge_count), 2)[order]
+
+
+def _sparse_adj(g, w):
+    """Symmetric CSR adjacency carrying the per-edge values w (in pair order)."""
+    indptr, nbr, eid = _csr_edges(g)
+    return csr_matrix((w[eid], nbr, indptr), shape=(g.n, g.n))
 
 
 def distance_matrix(g):
     """All-pairs shortest-path distances (hops, or summed 1/weight)."""
     if g.n == 0:
         return np.zeros((0, 0))
-    return _sp(_sparse_adj(g, lengths=True), method="D", directed=False, unweighted=g.weights is None)
+    L = _sparse_adj(g, 1.0 / g.edge_weights())
+    return _sp(L, method="D", directed=False, unweighted=g.weights is None)
 
 
 def components(g):
     """Connected components as lists of node indices (sorted within/by head)."""
     if g.n == 0:
         return []
-    ncomp, labels = _cc(_sparse_adj(g), directed=False)
+    ncomp, labels = _cc(_sparse_adj(g, g.edge_weights()), directed=False)
     return [np.where(labels == c)[0] for c in range(ncomp)]
 
 
 def largest_component(g):
     """Nodes of the largest component; ties pick the one with the smallest node."""
-    comps = sorted(components(g), key=lambda c: (-len(c), int(c[0])))
-    return comps[0]
+    if g.n == 0:
+        raise ValueError("largest component undefined: the network has no nodes")
+    return min(components(g), key=lambda c: (-len(c), int(c[0])))
 
 
 def density(g):
@@ -66,7 +79,9 @@ def clustering(g, variant="mean_local"):
     """Triangle-based clustering.
 
     mean_local averages 2 * t_i / (k_i (k_i - 1)) over all nodes, degree < 2
-    contributing 0. transitivity is 3 * triangles / connected triples.
+    contributing 0. transitivity is 3 * triangles / connected triples. Both
+    count triangles on the 0/1 adjacency as row sums of (A @ A) * A, one
+    sparse product.
     weighted_geometric replaces triangle counts with geometric-mean triangle
     weights (weights rescaled by the maximum), reducing to mean_local when
     all weights are equal.
@@ -74,10 +89,10 @@ def clustering(g, variant="mean_local"):
     n = g.n
     if n == 0 or g.edge_count == 0:
         return MetricReport(f"clustering_{variant}", 0.0, per_node=np.zeros(n))
-    A = (g.adjacency() > 0).astype(float)
-    deg = A.sum(axis=1)
+    deg = g.degrees().astype(float)
     if variant in ("mean_local", "transitivity"):
-        tri = np.diag(A @ A @ A) / 2.0
+        A = _sparse_adj(g, np.ones(g.edge_count))
+        tri = np.asarray((A @ A).multiply(A).sum(axis=1)).ravel() / 2.0
         if variant == "mean_local":
             denom = deg * (deg - 1)
             per = np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1), 0.0)
@@ -176,23 +191,85 @@ def path_length(g):
     )
 
 
-def _brandes(g):
-    """Brandes accumulation; returns (node betweenness, edge betweenness dict).
+# Bounds b * (n + 2m) for a block of b sources: the flat per-(source, node)
+# state is b * n entries and one level expands at most b * 2m CSR slots.
+_BRANDES_BLOCK = 1 << 18
 
-    Breadth-first on unweighted networks, Dijkstra with 1/weight lengths on
-    weighted ones. Values use the unordered-pair convention (accumulations
-    halved), raw and unnormalized.
+
+def _brandes_levels(g):
+    """Unweighted Brandes over every source at once, level by level.
+
+    Sources run in blocks; state is flat arrays indexed s * n + v (hop
+    distance, path count sigma, dependency delta). A forward level expands
+    the whole frontier through the CSR slots and sums sigma over each
+    successor with bincount; a backward level does the same for delta and
+    the edge shares, keyed by the edge id of each slot. Work is O(n m), as
+    in one breadth-first search per source. Returns raw (unhalved) node
+    and edge accumulations, the latter in pair order.
+    """
+    n, m = g.n, g.edge_count
+    indptr, nbr, eid = _csr_edges(g)
+    node_bc = np.zeros(n)
+    edge_bc = np.zeros(m)
+
+    def expand(front):
+        """Frontier position, CSR slot and flat successor index of every slot."""
+        v = front % n
+        start = indptr[v]
+        count = indptr[v + 1] - start
+        pos = np.repeat(np.arange(front.size), count)
+        slot = np.arange(pos.size) + np.repeat(start - (np.cumsum(count) - count), count)
+        return pos, slot, (front - v)[pos] + nbr[slot]
+
+    per_block = max(1, _BRANDES_BLOCK // max(1, n + 2 * m))
+    for first in range(0, n, per_block):
+        sources = np.arange(first, min(n, first + per_block))
+        size = sources.size * n
+        roots = np.arange(sources.size) * n + sources
+        dist = np.full(size, -1, dtype=np.int32)
+        sigma = np.zeros(size)
+        delta = np.zeros(size)
+        dist[roots] = 0
+        sigma[roots] = 1.0
+        levels = [roots]
+        while levels[-1].size:
+            front, d = levels[-1], len(levels)
+            pos, _, succ = expand(front)
+            seen = dist[succ]
+            fresh = seen < 0
+            dist[succ[fresh]] = d
+            on_path = fresh | (seen == d)
+            # only level-d entries receive counts, and their sigma starts at 0
+            sigma += np.bincount(succ[on_path], weights=sigma[front[pos[on_path]]], minlength=size)
+            levels.append(np.flatnonzero(dist == d))
+        for d in range(len(levels) - 2, 0, -1):
+            front = levels[d - 1]
+            pos, slot, succ = expand(front)
+            on_path = dist[succ] == d
+            pos, succ = pos[on_path], succ[on_path]
+            share = sigma[front[pos]] / sigma[succ] * (1.0 + delta[succ])
+            delta[front] = np.bincount(pos, weights=share, minlength=front.size)
+            edge_bc += np.bincount(eid[slot[on_path]], weights=share, minlength=m)
+        delta[roots] = 0.0
+        node_bc += delta.reshape(sources.size, n).sum(axis=0)
+    return node_bc, edge_bc
+
+
+def _brandes_dijkstra(g):
+    """Weighted Brandes, one Dijkstra search per source with 1/weight lengths.
+
+    Returns raw (unhalved) node and edge accumulations, the latter in pair
+    order.
     """
     n = g.n
-    weighted = g.weights is not None
-    L = _sparse_adj(g, lengths=True)
-    L.sort_indices()  # neighbors in ascending order fix the accumulation order
+    indptr, nbr, eid = _csr_edges(g)
+    lengths = 1.0 / g.weights[eid]
     adj = [
-        list(zip(L.indices[lo:hi].tolist(), L.data[lo:hi].tolist()))
-        for lo, hi in zip(L.indptr[:-1].tolist(), L.indptr[1:].tolist())
+        list(zip(nbr[lo:hi].tolist(), lengths[lo:hi].tolist(), eid[lo:hi].tolist()))
+        for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())
     ]
     node_bc = np.zeros(n)
-    edge_bc = dict.fromkeys(map(tuple, g.pairs.tolist()), 0.0)
+    edge_bc = np.zeros(g.edge_count)
     for s in range(n):
         sigma = np.zeros(n)
         sigma[s] = 1.0
@@ -200,52 +277,46 @@ def _brandes(g):
         dist[s] = 0.0
         preds = [[] for _ in range(n)]
         order = []
-        if weighted:
-            seen = np.zeros(n, dtype=bool)
-            heap = [(0.0, s)]
-            while heap:
-                d, v = heapq.heappop(heap)
-                if seen[v]:
-                    continue
-                seen[v] = True
-                order.append(v)
-                for w_, length in adj[v]:
-                    nd = d + length
-                    if nd < dist[w_] - 1e-12:
-                        dist[w_] = nd
-                        sigma[w_] = sigma[v]
-                        preds[w_] = [v]
-                        heapq.heappush(heap, (nd, w_))
-                    elif abs(nd - dist[w_]) <= 1e-12 and not seen[w_]:
-                        sigma[w_] += sigma[v]
-                        preds[w_].append(v)
-        else:
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                v = queue[head]
-                head += 1
-                order.append(v)
-                for w_, _ in adj[v]:
-                    if np.isinf(dist[w_]):
-                        dist[w_] = dist[v] + 1
-                        queue.append(w_)
-                    if dist[w_] == dist[v] + 1:
-                        sigma[w_] += sigma[v]
-                        preds[w_].append(v)
+        seen = np.zeros(n, dtype=bool)
+        heap = [(0.0, s)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if seen[v]:
+                continue
+            seen[v] = True
+            order.append(v)
+            for w_, length, e in adj[v]:
+                nd = d + length
+                if nd < dist[w_] - 1e-12:
+                    dist[w_] = nd
+                    sigma[w_] = sigma[v]
+                    preds[w_] = [(v, e)]
+                    heapq.heappush(heap, (nd, w_))
+                elif abs(nd - dist[w_]) <= 1e-12 and not seen[w_]:
+                    sigma[w_] += sigma[v]
+                    preds[w_].append((v, e))
         delta = np.zeros(n)
         for v in reversed(order):
-            for p in preds[v]:
+            for p, e in preds[v]:
                 share = sigma[p] / sigma[v] * (1.0 + delta[v])
                 delta[p] += share
-                key = (min(p, v), max(p, v))
-                edge_bc[key] += share
+                edge_bc[e] += share
             if v != s:
                 node_bc[v] += delta[v]
-    node_bc /= 2.0
-    for k in edge_bc:
-        edge_bc[k] /= 2.0
     return node_bc, edge_bc
+
+
+def _brandes(g):
+    """Brandes accumulation; returns (node betweenness, edge betweenness dict).
+
+    Unweighted networks run every source at once, level by level
+    (`_brandes_levels`); weighted ones run one Dijkstra search per source
+    with 1/weight lengths (`_brandes_dijkstra`). Values use the
+    unordered-pair convention (accumulations halved), raw and unnormalized;
+    the edge dict is keyed by (i, j) pairs in pair order.
+    """
+    node_bc, edge_bc = (_brandes_levels if g.weights is None else _brandes_dijkstra)(g)
+    return node_bc / 2.0, dict(zip(map(tuple, g.pairs.tolist()), (edge_bc / 2.0).tolist()))
 
 
 def betweenness(g):

@@ -137,14 +137,17 @@ def WeightedNetwork(n, triples, meta=None):
 def load_network(path):
     """Load an edge-list TSV; returns a weighted Network if lines carry weights.
 
-    The first line must be a '# {json}' header carrying at least n.
+    The first line must be a '# {json}' header object carrying at least n,
+    a nonnegative integer.
     """
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ValueError(f"{path}: missing JSON header line")
         header = json.loads(first[1:].strip())
-        n = int(header["n"])
+        n = header.get("n") if isinstance(header, dict) else None
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError(f"{path}: header must be a JSON object with a nonnegative integer n")
         meta = {k: v for k, v in header.items() if k != "n"}
         pairs, weights = [], []
         for line in fh:

@@ -98,6 +98,31 @@ def test_computational_failure_exits_1(capsys):
     assert report["message"]
 
 
+@pytest.mark.parametrize(
+    "header, argv, needle",
+    [
+        ('{"n": 0}', ["smallworld", "--null-count", "2"], "no nodes"),
+        ("[3]", ["metrics"], "JSON object"),
+        ("[3]", ["smallworld"], "JSON object"),
+        ("[3]", ["community"], "JSON object"),
+        ("[3]", ["ergm"], "JSON object"),
+        ('"n"', ["metrics"], "JSON object"),
+        ('{"m": 3}', ["metrics"], "JSON object"),
+        ('{"n": null}', ["metrics"], "nonnegative integer n"),
+        ('{"n": -1}', ["metrics"], "nonnegative integer n"),
+        ('{"n": 2.5}', ["community"], "nonnegative integer n"),
+    ],
+)
+def test_malformed_network_exits_1(tmp_path, capsys, header, argv, needle):
+    path = tmp_path / "net.tsv"
+    path.write_text(f"# {header}\n")
+    code, out, err = run_cli(capsys, argv[0], "--in", path, *argv[1:])
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert needle in report["message"]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["threshold"])

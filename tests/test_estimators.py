@@ -123,6 +123,25 @@ def test_synchronization_identical_and_independent(rng):
     assert cm.values[0, 2] < 5 * chance
 
 
+def test_synchronization_counts_match_pairwise_neighbor_sets(rng):
+    x = rng.standard_normal((5, 150))
+    x[1] = x[0] + 0.05 * rng.standard_normal(150)
+    embed = DelayEmbedding(lag=2, dim=3, neighbor_count=4)
+    k, B, w = embed.neighbor_count, embed.vector_count(150), embed.window()
+    neighbors = []
+    for series in x:
+        v = np.stack([series[d * embed.lag : d * embed.lag + B] for d in range(embed.dim)], axis=1)
+        d2 = ((v[:, None, :] - v[None, :, :]) ** 2).sum(axis=2)
+        d2[np.abs(np.subtract.outer(np.arange(B), np.arange(B))) < w] = np.inf
+        neighbors.append([set(np.argsort(row, kind="stable")[:k].tolist()) for row in d2])
+    cm = synchronization_matrix(x, embed)
+    for i in range(5):
+        assert cm.values[i, i] == 0.0
+        for j in range(i + 1, 5):
+            shared = sum(len(a & b) for a, b in zip(neighbors[i], neighbors[j]))
+            assert cm.values[i, j] == cm.values[j, i] == shared / (B * k)
+
+
 def test_connection_matrix_roundtrip(tmp_path, rng):
     x = rng.standard_normal((5, 100))
     cm = correlation_matrix(x)
