@@ -9,6 +9,7 @@ a subject group is drawn from the model at the group-mean parameters.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .networks import Network
 from .runtime import rng_for
 
 TERM_NAMES = ("edges", "two_stars", "triangles")
+_STEP_BLOCK = 4096  # Metropolis steps per block of drawn proposals
 
 
 def _check_terms(terms):
@@ -63,18 +65,18 @@ def ergm_stats(network, terms=TERM_NAMES):
     return np.array(out)
 
 
-def _change_stats_matrix(adj, degrees, i, j, terms):
-    """Change in each statistic from adding edge (i, j) to a graph without it."""
-    out = np.empty(len(terms))
-    common = int(np.count_nonzero(adj[i] & adj[j]))
-    for idx, t in enumerate(terms):
-        if t == "edges":
-            out[idx] = 1.0
-        elif t == "two_stars":
-            out[idx] = float(degrees[i] + degrees[j])
-        else:
-            out[idx] = float(common)
-    return out
+def _change_stats(A, iu, ju, common, terms):
+    """Change statistics of the dyads (iu[k], ju[k]) of the graph with int
+    adjacency A, one row per dyad in term order, and each dyad's presence.
+
+    The change from adding edge (i, j) to the graph without it is 1 edge,
+    k_i + k_j two-stars (degrees without the edge) and one triangle per
+    common neighbour; `common` holds those counts.
+    """
+    present = A[iu, ju]
+    k = A.sum(axis=0)
+    columns = {"edges": np.ones(len(iu)), "two_stars": k[iu] + k[ju] - 2 * present, "triangles": common}
+    return np.column_stack([columns[t] for t in terms]).astype(float), present.astype(float)
 
 
 def ergm_change_stats(network, dyad, terms=TERM_NAMES):
@@ -83,13 +85,9 @@ def ergm_change_stats(network, dyad, terms=TERM_NAMES):
     i, j = dyad
     if not (0 <= i < network.n and 0 <= j < network.n) or i == j:
         raise ValueError(f"invalid dyad {dyad!r}")
-    adj = network.adjacency().astype(bool)
-    degrees = network.degrees().astype(int).copy()
-    if adj[i, j]:
-        adj[i, j] = adj[j, i] = False
-        degrees[i] -= 1
-        degrees[j] -= 1
-    return _change_stats_matrix(adj, degrees, i, j, terms)
+    A = (network.adjacency() != 0).astype(np.int64)
+    X, _ = _change_stats(A, [i], [j], [A[i] @ A[j]], terms)
+    return X[0]
 
 
 @dataclass
@@ -106,25 +104,12 @@ class ErgmFit:
 
 
 def _dyad_design(network, terms):
-    adj = network.adjacency().astype(bool)
-    degrees = network.degrees().astype(int)
-    n = network.n
-    rows = []
-    y = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            present = adj[i, j]
-            if present:
-                adj[i, j] = adj[j, i] = False
-                degrees[i] -= 1
-                degrees[j] -= 1
-            rows.append(_change_stats_matrix(adj, degrees, i, j, terms))
-            y.append(1.0 if present else 0.0)
-            if present:
-                adj[i, j] = adj[j, i] = True
-                degrees[i] += 1
-                degrees[j] += 1
-    return np.array(rows), np.array(y)
+    """MPLE design over the dyads i < j in row-major order: change statistics
+    and presence."""
+    A = (network.adjacency() != 0).astype(np.int64)
+    iu, ju = np.triu_indices(network.n, 1)
+    common = (A @ A)[iu, ju] if "triangles" in terms else None
+    return _change_stats(A, iu, ju, common, terms)
 
 
 def ergm_mple(network, terms=TERM_NAMES, max_iter=100, tol=1e-8):
@@ -187,6 +172,20 @@ def ergm_mple(network, terms=TERM_NAMES, max_iter=100, tol=1e-8):
     )
 
 
+def _proposal_blocks(rng, n, steps):
+    """Metropolis proposals (i, j, log(1 - u)) for `steps` steps: a uniform
+    ordered pair i != j and a uniform u in [0, 1), drawn in blocks of
+    _STEP_BLOCK steps with one rng call each for i, j and u, in that order.
+    1 - u is uniform on (0, 1], so its log is finite."""
+    while steps > 0:
+        size = min(_STEP_BLOCK, steps)
+        i = rng.integers(n, size=size)
+        j = rng.integers(n - 1, size=size)
+        j += j >= i
+        yield zip(i.tolist(), j.tolist(), np.log1p(-rng.random(size)).tolist())
+        steps -= size
+
+
 def ergm_simulate(
     model,
     n,
@@ -198,72 +197,86 @@ def ergm_simulate(
 ):
     """Metropolis sampling of binary networks from an ERGM.
 
-    One step proposes toggling a uniformly random dyad and accepts with
-    probability min(1, exp(theta . delta)). Defaults: burn_in = 10 n^2
-    steps, thin = n^2 steps between retained samples. Emits a warning when
-    the chain spends more than half of burn-in pinned at an empty or
-    complete graph, a symptom of model degeneracy.
+    One step proposes toggling the dyad of a uniformly random ordered pair
+    i != j. With delta the dyad's change statistic, it accepts when
+    log(1 - u) <= +-theta . delta for a uniform u in [0, 1), that is with
+    probability min(1, exp(+-theta . delta)): + for adding the edge, - for
+    removing it. The pairs and uniforms are drawn in blocks of _STEP_BLOCK
+    steps, so seeded samples differ from those of earlier fcnets versions,
+    which drew each proposal separately. Defaults: burn_in = 10 n^2 steps,
+    thin = n^2 steps between retained samples. Each sample's meta records
+    "pinned_burn_in", the fraction of burn-in steps that ended at an empty
+    or complete graph; above one half a warning is emitted, as that is a
+    symptom of model degeneracy.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if count < 1:
         raise ValueError("count must be positive")
-    burn_in = 10 * n * n if burn_in is None else int(burn_in)
+    burn_in = 10 * n * n if burn_in is None else max(int(burn_in), 0)
     thin = n * n if thin is None else int(thin)
     if thin < 1:
         raise ValueError("thin must be positive")
-    terms = model.terms
-    theta = model.theta
-    rng = rng_for(seed, "ergm_sim")
-    adj = np.zeros((n, n), dtype=bool)
-    degrees = np.zeros(n, dtype=int)
-    edge_count = 0
+    weights = dict(zip(model.terms, model.theta.tolist()))
+    w_edges = weights["edges"]
+    w_two_stars = weights.get("two_stars", 0.0)
+    w_triangles = weights.get("triangles", 0.0)
+    rows = [0] * n  # row i as a bitset: bit j is set when edge (i, j) is present
+    degrees = [0] * n
     if start is not None:
         if start.n != n:
             raise ValueError("start network has wrong node count")
-        adj = start.adjacency().astype(bool)
-        degrees = adj.sum(axis=0).astype(int)
-        edge_count = start.edge_count
+        for i, j in start.pairs.tolist():
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        degrees = start.degrees().tolist()
+    edge_count = sum(degrees) // 2
     max_edges = n * (n - 1) // 2
-    pinned = 0
+    proposals = itertools.chain.from_iterable(
+        _proposal_blocks(rng_for(seed, "ergm_sim"), n, burn_in + count * thin)
+    )
 
-    def step():
+    def advance(steps):
+        """Run the next `steps` steps; return how many ended at an empty or complete graph."""
         nonlocal edge_count
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        present = adj[i, j]
-        if present:
-            adj[i, j] = adj[j, i] = False
-            degrees[i] -= 1
-            degrees[j] -= 1
-        delta = _change_stats_matrix(adj, degrees, i, j, terms)
-        log_accept = float(theta @ delta) * (-1.0 if present else 1.0)
-        accept = log_accept >= 0 or rng.random() < np.exp(log_accept)
-        add_back = (present and not accept) or (not present and accept)
-        if add_back:
-            adj[i, j] = adj[j, i] = True
-            degrees[i] += 1
-            degrees[j] += 1
-        edge_count += int(adj[i, j]) - int(present)
+        pinned = 0
+        for i, j, log_v in itertools.islice(proposals, steps):
+            row_i, row_j = rows[i], rows[j]
+            present = row_i >> j & 1
+            log_accept = (
+                w_edges
+                + w_two_stars * (degrees[i] + degrees[j] - 2 * present)
+                + w_triangles * (row_i & row_j).bit_count()
+            )
+            if present:
+                log_accept = -log_accept
+            if log_v <= log_accept:
+                rows[i] = row_i ^ (1 << j)
+                rows[j] = row_j ^ (1 << i)
+                change = 1 - 2 * present
+                degrees[i] += change
+                degrees[j] += change
+                edge_count += change
+            if edge_count == 0 or edge_count == max_edges:
+                pinned += 1
+        return pinned
 
-    for _ in range(burn_in):
-        step()
-        if edge_count == 0 or edge_count == max_edges:
-            pinned += 1
-    if burn_in > 0 and pinned > burn_in / 2:
+    pinned = advance(burn_in) / burn_in if burn_in > 0 else 0.0
+    if pinned > 0.5:
         warnings.warn(
             "chain spent most of burn-in at an empty or complete graph; "
             "the model is likely degenerate at these parameters",
             RuntimeWarning,
         )
+    nbytes = (n + 7) // 8
     samples = []
     for _ in range(count):
-        for _ in range(thin):
-            step()
+        advance(thin)
+        bits = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+        adj = np.unpackbits(bits.reshape(n, nbytes), axis=1, count=n, bitorder="little")
         ii, jj = np.nonzero(np.triu(adj, 1))
-        samples.append(Network(n, np.column_stack((ii, jj)), meta={"model": "ergm"}))
+        meta = {"model": "ergm", "pinned_burn_in": pinned}
+        samples.append(Network(n, np.column_stack((ii, jj)), meta=meta))
     return samples
 
 
