@@ -2,19 +2,23 @@
 
     python3 scripts/bench_pair.py PARENT_DIR CHANGE_DIR --workload all --seeds 1 10
 
-For each seed in the inclusive range, runs
+For each seed in the inclusive range, runs the change checkout's
+BENCHMARK.json ``command`` with
 
-    python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
+    --workload W --seed S --seconds RUN_SECONDS --trace 0
 
-in each checkout, the parent first on odd seeds and the change first on
-even ones, and prints each run's end-to-end metrics to standard error.
-Then, for every end-to-end metric that the change checkout's
-BENCHMARK.json names (per workload when W is ``all``), it prints both
-sides' medians and quartiles, the number of seeds on which the change was
-better (ties count for neither side), whether the change's median stays
-within the metric's bound of the parent's, and whether the difference
-counts as a gain: better on at least nine tenths of the seeds, and
-medians apart by more than the parent's interquartile range.
+(RUN_SECONDS is that file's ``run_seconds``) in each checkout, the parent
+first on odd seeds and the change first on even ones, and prints each
+run's end-to-end metrics to standard error. Then, for every end-to-end
+metric that BENCHMARK.json names (per workload when W is ``all``), it
+prints both sides' medians and quartiles, the number of seeds on which the
+change was better (ties count for neither side), a bound verdict and
+whether the difference counts as a gain: better on at least nine tenths
+of the seeds, and medians apart by more than the parent's interquartile
+range. The bound verdict is ``unresolved`` when the parent's
+interquartile range is wider than the bound and not every change run is
+better than every parent run; otherwise ``ok`` when the change's median
+stays within the bound of the parent's, and ``WORSE`` when it does not.
 
 Exits 1 if any run exits with an error, is not ``correct`` or has a failed
 operation.
@@ -29,13 +33,13 @@ import statistics
 import subprocess
 import sys
 
-RUN_TIMEOUT = 900.0  # seconds for one run.py call; it limits each workload to 170 s itself
+RUN_TIMEOUT = 900.0  # seconds for one benchmark call; run.py limits each workload to 170 s itself
 
 
-def run_bench(checkout, workload, seed, seconds):
-    """One untraced perfbench run in `checkout`; its combined result line."""
+def run_bench(command, checkout, workload, seed, seconds):
+    """One untraced benchmark run of `command` in `checkout`; its combined result line."""
     cmd = [
-        sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+        *command, "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT)
@@ -52,7 +56,7 @@ def quartiles(values):
 
 
 def summarize(parent, change, metrics):
-    """One row per metric: medians, quartiles, pairs won, bound and gain verdicts."""
+    """One row per metric: medians, quartiles, pairs won, bound verdict, gain verdict."""
     rows = []
     for name, (better, bound) in metrics.items():
         p = [r["metrics"][name]["value"] for r in parent]
@@ -61,9 +65,15 @@ def summarize(parent, change, metrics):
         won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         p_q1, p_med, p_q3 = quartiles(p)
         c_q1, c_med, c_q3 = quartiles(c)
-        within = sign * (c_med - p_med) <= bound * abs(p_med)
+        all_beat = all(sign * (a - b) > 0 for a in p for b in c)
+        if p_q3 - p_q1 > bound * abs(p_med) and not all_beat:
+            verdict = "unresolved"
+        elif sign * (c_med - p_med) <= bound * abs(p_med):
+            verdict = "ok"
+        else:
+            verdict = "WORSE"
         gain = won >= 0.9 * len(p) and sign * (p_med - c_med) > p_q3 - p_q1
-        rows.append((name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, len(p), within, gain))
+        rows.append((name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, len(p), verdict, gain))
     return rows
 
 
@@ -73,15 +83,15 @@ def main():
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", required=True, help="cohort, graph_nulls, group_models or all")
     ap.add_argument("--seeds", type=int, nargs=2, required=True, metavar=("FIRST", "LAST"))
-    ap.add_argument("--seconds", type=int, default=30, help="run length per workload (N, default 30)")
     args = ap.parse_args()
     if args.seeds[1] <= args.seeds[0]:
         ap.error("need at least two seeds for quartiles")
-    for checkout in (args.parent, args.change):
-        if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
-            ap.error(f"{checkout} has no perfbench/run.py")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    script = bench["command"][-1]
+    for checkout in (args.parent, args.change):
+        if not os.path.isfile(os.path.join(checkout, script)):
+            ap.error(f"{checkout} has no {script}")
     workloads = [w["name"] for w in bench["workloads"]] if args.workload == "all" else [args.workload]
     metrics = {}
     for w in workloads:
@@ -94,21 +104,21 @@ def main():
     for seed in range(args.seeds[0], args.seeds[1] + 1):
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
-            r = run_bench(getattr(args, side), args.workload, seed, args.seconds)
+            r = run_bench(bench["command"], getattr(args, side), args.workload, seed, bench["run_seconds"])
             results[side].append(r)
             values = " ".join(f"{k}={r['metrics'][k]['value']:.4g}" for k in metrics)
             sys.stderr.write(f"seed {seed} {side}: correct={r['correct']} failed={r['failed']} {values}\n")
             if not r["correct"] or r["failed"]:
                 bad.append(f"seed {seed} {side}: correct={r['correct']}, failed={r['failed']}")
 
-    fmt = "{:28} {:>10} {:>22} {:>10} {:>22} {:>7} {:>6} {:>5}"
+    fmt = "{:28} {:>10} {:>22} {:>10} {:>22} {:>7} {:>10} {:>5}"
     print(fmt.format("metric", "parent", "[q1, q3]", "change", "[q1, q3]", "won", "bound", "gain"))
-    for name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, pairs, within, gain in summarize(
+    for name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, pairs, verdict, gain in summarize(
         results["parent"], results["change"], metrics
     ):
         print(fmt.format(
             name, f"{p_med:.4g}", f"[{p_q1:.4g}, {p_q3:.4g}]", f"{c_med:.4g}", f"[{c_q1:.4g}, {c_q3:.4g}]",
-            f"{won}/{pairs}", "ok" if within else "WORSE", "yes" if gain else "no",
+            f"{won}/{pairs}", verdict, "yes" if gain else "no",
         ))
     if bad:
         print("runs that were not correct or had failed operations:\n  " + "\n  ".join(bad))
