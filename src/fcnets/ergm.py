@@ -50,9 +50,9 @@ class ErgmModel:
 
 
 def ergm_stats(network, terms=TERM_NAMES):
-    """Sufficient statistics of a binary network, in term order."""
+    """Sufficient statistics of the 0/1 adjacency (weights ignored), in term order."""
     terms = _check_terms(terms)
-    A = network.adjacency().astype(float)
+    A = (network.adjacency() != 0).astype(float)
     k = A.sum(axis=0)
     out = []
     for t in terms:
@@ -293,7 +293,8 @@ def representative_network(
     Subjects whose fit fails (degenerate or separable graphs) are dropped
     with a warning. From an ensemble simulated at the mean parameters, the
     network whose statistics are closest (Euclidean) to the group-mean
-    statistics is returned, with fit and selection detail in its meta.
+    statistics is returned, with fit and selection detail in its meta. An
+    ensemble of only empty or complete graphs is flagged with a warning.
     """
     terms = _check_terms(terms)
     if not group:
@@ -324,6 +325,9 @@ def representative_network(
     nets = ergm_simulate(
         model, n, count=ensemble, burn_in=burn_in, thin=thin, seed=seed
     )
+    if all(g.edge_count in (0, n * (n - 1) // 2) for g in nets):
+        msg = "all ensemble samples are empty or complete graphs; the model is likely degenerate"
+        warnings.warn(msg, RuntimeWarning)
     dists = [float(np.linalg.norm(ergm_stats(g, terms) - target)) for g in nets]
     best = int(np.argmin(dists))
     chosen = nets[best]

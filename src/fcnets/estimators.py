@@ -314,27 +314,26 @@ def estimate(series, name, params=None):
     """Dispatch an estimator by name with a keyword-parameter dict.
 
     Coherence accepts band as a (low, high) pair; synchronization accepts
-    lag / dim / neighbor_count in place of an embedding object.
+    lag / dim / neighbor_count in place of an embedding object. A parameter
+    it does not take, or of the wrong type, raises ValueError.
     """
-    params = dict(params or {})
-    if name == "correlation":
-        return correlation_matrix(series)
-    if name == "partial_correlation":
-        return partial_correlation_matrix(series, **params)
-    if name == "coherence":
-        band = params.pop("band", None)
-        if band is None:
-            raise ValueError("coherence needs a band: [low_hz, high_hz]")
-        if not isinstance(band, BandSpec):
-            band = BandSpec(*band)
-        return coherence_matrix(series, band, **params)
-    if name == "mutual_information":
-        return mutual_information_matrix(series, **params)
-    if name == "synchronization":
-        embed_kw = {
-            k: params.pop(k) for k in ("lag", "dim", "neighbor_count") if k in params
-        }
-        if params:
-            raise ValueError(f"unknown synchronization parameters {sorted(params)}")
-        return synchronization_matrix(series, DelayEmbedding(**embed_kw))
+    try:
+        params = dict(params or {})
+        if name == "correlation":
+            return correlation_matrix(series)
+        if name == "partial_correlation":
+            return partial_correlation_matrix(series, **params)
+        if name == "coherence":
+            band = params.pop("band", None)
+            if band is None:
+                raise ValueError("coherence needs a band: [low_hz, high_hz]")
+            if not isinstance(band, BandSpec):
+                band = BandSpec(*band)
+            return coherence_matrix(series, band, **params)
+        if name == "mutual_information":
+            return mutual_information_matrix(series, **params)
+        if name == "synchronization":
+            return synchronization_matrix(series, DelayEmbedding(**params))
+    except TypeError as exc:
+        raise ValueError(f"estimator {name!r} failed: {exc}") from exc
     raise ValueError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")

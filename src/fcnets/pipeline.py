@@ -17,6 +17,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy
@@ -28,15 +29,81 @@ from .panels import BandSpec, bandpass_filter, load_manifest
 from .runtime import derive_seed, parallel_map, resolve_workers, to_json, write_json
 from .thresholding import apply_spec, spec_problems
 
-ANALYSIS_TYPES = (
-    "metrics",
-    "smallworld",
-    "community",
-    "compare",
-    "ergm",
-    "twopart",
-    "bootstrap",
-)
+REQUIRED = object()  # the default of a parameter that must be given
+
+
+@dataclass(frozen=True)
+class Param:
+    """A config parameter: its JSON kind (a key of _KINDS; true and false are
+    neither integers nor numbers), default (called with the subject count if
+    callable; None also admits null), allowed values, and bounds, inclusive
+    for integers and exclusive for numbers. many: a list of min_items or more."""
+
+    kind: str
+    default: object = REQUIRED
+    choices: tuple = ()
+    low: float | None = None
+    high: float | None = None
+    many: bool = False
+    min_items: int = 0
+
+
+_KINDS = {  # kind: (the types json.load gives for it, one value, a list of values)
+    "int": ((int,), "an integer", "integers"),
+    "subject": ((int,), "a subject index", "subject indices"),
+    "number": ((int, float), "a number", "numbers"),
+    "str": ((str,), "a string", "strings"),
+    "bool": ((bool,), "true or false", "booleans"),
+    "object": ((dict,), "an object", "objects"),
+}
+_DEFAULT_METRICS = ("density", "clustering_mean_local", "global_efficiency")
+
+ANALYSIS_PARAMS = {
+    "metrics": {"metrics": Param("str", _DEFAULT_METRICS, metrics.METRIC_NAMES, many=True)},
+    "smallworld": {
+        "subjects": Param("subject", lambda count: list(range(count)), many=True),
+        "null_count": Param("int", 20, low=1),
+        "swaps_per_edge": Param("int", 10, low=1),
+        "clustering_variant": Param("str", "mean_local", ("mean_local", "transitivity")),
+    },
+    "community": {"cartography": Param("bool", False)},
+    "compare": {
+        "method": Param("str", "nbs", ("edgewise", "nbs", "spc")),
+        "group_a": Param("subject", many=True, min_items=2),
+        "group_b": Param("subject", many=True, min_items=2),
+        "correction": Param("str", "bh-fdr", ("bonferroni", "bh-fdr")),
+        "t_threshold": Param("number", None, low=0),
+        "permutations": Param("int", 1000, low=100),
+        "alternative": Param("str", "two_sided", ("two_sided", "greater", "less")),
+        "radius": Param("number", 1.5, low=0),
+    },
+    "ergm": {
+        "terms": Param("str", ergm.TERM_NAMES, ergm.TERM_NAMES, many=True),
+        "ensemble": Param("int", 50, low=1),
+    },
+    "twopart": {
+        "omega": Param("object", None),
+        "threshold": Param("number", 0.0),
+        "covariates": Param("object", None),
+        "presence_formula": Param("str", ("intercept",), many=True),
+        "strength_formula": Param("str", ("intercept",), many=True),
+        "quad_points": Param("int", 20, low=1),
+        "maxfev": Param("int", 2000, low=1),
+    },
+    "bootstrap": {
+        "subject": Param("subject", 0),
+        "metric": Param("str", REQUIRED, metrics.METRIC_NAMES),
+        "replicates": Param("int", 200, low=10),
+        "block_length": Param("int", None, low=1),
+        "level": Param("number", 0.05, low=0, high=1),
+    },
+}
+ANALYSIS_TYPES = tuple(ANALYSIS_PARAMS)
+_CONFIG_PARAMS = {
+    "seed": Param("int", 0),
+    "workers": Param("int", None, low=1),
+    "out_dir": Param("str", None),
+}
 
 
 class ConfigError(ValueError):
@@ -53,7 +120,7 @@ class PipelineConfig:
     estimator: str
     estimator_params: dict
     threshold: dict
-    analyses: list
+    analyses: list  # (type, params as given, params checked and defaulted)
     seed: int
     out_dir: str
     workers: int | None = None
@@ -69,21 +136,45 @@ def load_config(path, out_dir=None):
     return validate_config(raw, base, out_dir=out_dir)
 
 
-def _listed(problems, tag, key, value):
-    """value if it is a list; otherwise record a problem and return []."""
-    if isinstance(value, list):
-        return value
-    problems.append(f"{tag}: {key} must be a list, got {value!r}")
-    return []
+def _checked_params(tag, table, params, subject_count):
+    """(params with the table's defaults filled in, problems). Subject
+    indices are checked against subject_count unless it is None."""
+    problems = [
+        f"{tag}: unknown parameter {k!r}; known: {list(table)}" for k in params if k not in table
+    ]
+    checked = {}
+    for name, param in table.items():
+        if name in params:
+            value = checked[name] = params[name]
+            if value is not None or param.default is not None:
+                problems += _value_problems(f"{tag}: {name}", param, value, subject_count)
+        elif param.default is REQUIRED:
+            problems.append(f"{tag}: {name!r} is required")
+        else:
+            default = param.default
+            checked[name] = default(subject_count or 0) if callable(default) else default
+    return checked, problems
 
 
-def _index_problems(tag, key, indices, count):
-    """Problems with subject indices: not integers, or outside 0..count-1
-    (count None: manifest unread)."""
-    if not all(isinstance(s, (int, np.integer)) for s in indices):
-        return [f"{tag}: {key} indices must be integers, got {indices!r}"]
-    if count is not None and any(not 0 <= s < count for s in indices):
-        return [f"{tag}: {key} indices out of range 0..{count - 1}"]
+def _value_problems(label, param, value, subject_count):
+    """What is wrong with one parameter value: a list of at most one problem."""
+    types, one, many = _KINDS[param.kind]
+    items = value if param.many and type(value) is list else [value]
+    if (param.many and type(value) is not list) or any(type(v) not in types for v in items):
+        return [f"{label} must be {f'a list of {many}' if param.many else one}, got {value!r}"]
+    if len(items) < param.min_items:
+        return [f"{label} must list at least {param.min_items} values, got {value!r}"]
+    low, high = param.low, param.high
+    if param.kind == "subject":
+        low, high = 0, None if subject_count is None else subject_count - 1
+    closed = param.kind != "number"
+    for v in items:
+        if param.choices and v not in param.choices:
+            return [f"{label} {v!r} unknown; choose from {param.choices}"]
+        if low is not None and (v < low if closed else not v > low):
+            return [f"{label} must be {'>=' if closed else '>'} {low}, got {v!r}"]
+        if high is not None and (v > high if closed else not v < high):
+            return [f"{label} must be {'<=' if closed else '<'} {high}, got {v!r}"]
     return []
 
 
@@ -107,12 +198,13 @@ def validate_config(raw, base_dir=".", out_dir=None):
             try:
                 with open(manifest) as fh:
                     manifest_doc = json.load(fh)
-                subject_count = len(manifest_doc.get("subject_files", []))
-                for rel in manifest_doc.get("subject_files", []):
+                subject_files = manifest_doc.get("subject_files", [])
+                subject_count = len(subject_files)
+                for rel in subject_files:
                     p = os.path.join(os.path.dirname(manifest), rel)
                     if not os.path.exists(p):
                         problems.append(f"subject file not found: {p}")
-            except (json.JSONDecodeError, OSError) as exc:
+            except (json.JSONDecodeError, OSError, AttributeError, TypeError) as exc:
                 problems.append(f"manifest unreadable: {exc}")
 
     est = raw.get("estimator", {})
@@ -124,9 +216,7 @@ def validate_config(raw, base_dir=".", out_dir=None):
     else:
         est_name = est.get("name")
         if est_name not in ESTIMATOR_NAMES:
-            problems.append(
-                f"estimator {est_name!r} unknown; choose from {ESTIMATOR_NAMES}"
-            )
+            problems.append(f"estimator {est_name!r} unknown; choose from {ESTIMATOR_NAMES}")
         est_params = est.get("params", {})
         if not isinstance(est_params, dict):
             problems.append(f"estimator params must be an object, got {est_params!r}")
@@ -146,7 +236,8 @@ def validate_config(raw, base_dir=".", out_dir=None):
     if not isinstance(analyses, list) or not analyses:
         problems.append("'analyses' must be a non-empty list")
         analyses = []
-    has_coordinates = bool(manifest_doc and manifest_doc.get("coordinates"))
+    has_coordinates = isinstance(manifest_doc, dict) and bool(manifest_doc.get("coordinates"))
+    checked_analyses = []
     for idx, spec in enumerate(analyses):
         tag = f"analyses[{idx}]"
         if not isinstance(spec, dict) or spec.get("type") not in ANALYSIS_TYPES:
@@ -159,77 +250,32 @@ def validate_config(raw, base_dir=".", out_dir=None):
         if not isinstance(params, dict):
             problems.append(f"{tag}: params must be an object, got {params!r}")
             continue
-        kind = spec["type"]
-        if kind == "compare":
-            method = params.get("method", "nbs")
-            if method not in ("edgewise", "nbs", "spc"):
-                problems.append(f"{tag}: compare method {method!r} unknown")
-            for key in ("group_a", "group_b"):
-                if not params.get(key):
-                    problems.append(f"{tag}: compare needs subject index list {key!r}")
-                else:
-                    indices = _listed(problems, tag, key, params[key])
-                    problems += _index_problems(tag, key, indices, subject_count)
-            if method == "spc" and not has_coordinates:
-                problems.append(
-                    f"{tag}: spc requires node coordinates in the manifest "
-                    "(spatial adjacency is built from them)"
-                )
-            if method in ("nbs", "spc") and "t_threshold" not in params:
-                problems.append(f"{tag}: {method} needs 't_threshold'")
-        elif kind == "bootstrap":
-            subject = params.get("subject", 0)
-            if not isinstance(subject, (int, np.integer)):
-                problems.append(f"{tag}: bootstrap subject must be an integer, got {subject!r}")
-            elif manifest_doc and not (0 <= subject < max(subject_count, 1)):
-                problems.append(f"{tag}: bootstrap subject {subject} out of range")
-            if "metric" not in params:
-                problems.append(f"{tag}: bootstrap needs 'metric'")
-            elif params["metric"] not in metrics.METRIC_NAMES:
-                problems.append(
-                    f"{tag}: metric {params['metric']!r} unknown; "
-                    f"choose from {metrics.METRIC_NAMES}"
-                )
-        elif kind == "metrics":
-            for m in _listed(problems, tag, "metrics", params.get("metrics", [])):
-                if m not in metrics.METRIC_NAMES:
-                    problems.append(
-                        f"{tag}: metric {m!r} unknown; choose from {metrics.METRIC_NAMES}"
-                    )
-        elif kind == "twopart":
-            omega = params.get("omega")
-            if omega is not None:
-                kind_name = omega.get("kind") if isinstance(omega, dict) else None
-                if kind_name not in twopart.STRUCTURE_KINDS:
-                    problems.append(
-                        f"{tag}: omega kind {kind_name!r} unknown; "
-                        f"choose from {twopart.STRUCTURE_KINDS}"
-                    )
-                elif kind_name not in ("identity", "compound_symmetry") and not has_coordinates:
-                    problems.append(
-                        f"{tag}: omega kind {kind_name!r} needs node coordinates "
-                        "in the manifest for dyad distances"
-                    )
-        elif kind == "smallworld":
-            subjects = _listed(problems, tag, "subjects", params.get("subjects", []))
-            problems += _index_problems(tag, "subjects", subjects, subject_count)
-        elif kind == "ergm":
-            for term in _listed(problems, tag, "terms", params.get("terms", [])):
-                if term not in ergm.TERM_NAMES:
-                    problems.append(f"{tag}: ergm term {term!r} unknown")
+        checked, found = _checked_params(tag, ANALYSIS_PARAMS[spec["type"]], params, subject_count)
+        problems += found
+        checked_analyses.append((spec["type"], params, checked))
+        method, omega = checked.get("method"), checked.get("omega")
+        omega_kind = omega.get("kind") if isinstance(omega, dict) else None
+        if method in ("nbs", "spc") and checked["t_threshold"] is None:
+            problems.append(f"{tag}: {method} needs 't_threshold'")
+        if isinstance(omega, dict) and omega_kind not in twopart.STRUCTURE_KINDS:
+            problems.append(
+                f"{tag}: omega kind {omega_kind!r} unknown; choose from {twopart.STRUCTURE_KINDS}"
+            )
+        elif not has_coordinates and (
+            method == "spc" or omega_kind not in (None, "identity", "compound_symmetry")
+        ):
+            user = "spc" if method == "spc" else f"omega kind {omega_kind!r}"
+            problems.append(f"{tag}: {user} needs node coordinates in the manifest")
 
-    seed = raw.get("seed", 0)
-    try:
-        seed = int(seed)
-    except (TypeError, ValueError):
-        problems.append(f"seed must be an integer, got {seed!r}")
-        seed = 0
+    given = {key: raw[key] for key in _CONFIG_PARAMS if key in raw}
+    top, found = _checked_params("config", _CONFIG_PARAMS, given, None)
+    problems += found
 
     # a config-file out_dir travels with the config; a --out flag is a
     # shell argument and resolves against the caller's working directory
     if out_dir:
         resolved_out = os.path.abspath(out_dir)
-    elif raw.get("out_dir"):
+    elif raw.get("out_dir") and isinstance(raw["out_dir"], str):
         resolved_out = os.path.join(base_dir, raw["out_dir"])
     else:
         resolved_out = None
@@ -242,46 +288,27 @@ def validate_config(raw, base_dir=".", out_dir=None):
         estimator=est_name,
         estimator_params=est_params,
         threshold=threshold,
-        analyses=analyses,
-        seed=seed,
+        analyses=checked_analyses,
+        seed=top["seed"],
         out_dir=resolved_out,
-        workers=raw.get("workers"),
+        workers=top["workers"],
         bandpass=bandpass,
         raw=raw,
     )
 
 
-def _estimate_one(args):
-    series, name, params = args
-    return estimate(series, name, params)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
-
-
-def _cell(v):
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+        for row in [header, *rows]:
+            fh.write(",".join(format(v, ".12g") if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
 
 
 def _analysis_metrics(config, params, panel, matrices, networks, seed):
-    names = params.get("metrics", ["density", "clustering_mean_local", "global_efficiency"])
-    per_subject = [
-        {m: metrics.metric_value(g, m) for m in names} for g in networks
-    ]
-    table_rows = [
-        [s] + [per_subject[s][m] for m in names] for s in range(len(networks))
-    ]
-    _write_csv(
-        os.path.join(config.out_dir, "metrics.csv"),
-        ["subject"] + list(names),
-        table_rows,
-    )
+    names = params["metrics"]
+    per_subject = [{m: metrics.metric_value(g, m) for m in names} for g in networks]
+    rows = [[s] + [values[m] for m in names] for s, values in enumerate(per_subject)]
+    _write_csv(os.path.join(config.out_dir, "metrics.csv"), ["subject", *names], rows)
     return {
         "metrics": names,
         "per_subject": per_subject,
@@ -291,18 +318,17 @@ def _analysis_metrics(config, params, panel, matrices, networks, seed):
 
 
 def _analysis_smallworld(config, params, panel, matrices, networks, seed):
-    subjects = params.get("subjects", list(range(len(networks))))
     out = []
-    for s in subjects:
+    for s in params["subjects"]:
         res = nullmodels.small_world(
-            networks[int(s)].binary(),
-            null_count=params.get("null_count", 20),
-            swaps_per_edge=params.get("swaps_per_edge", 10),
+            networks[s].binary(),
+            null_count=params["null_count"],
+            swaps_per_edge=params["swaps_per_edge"],
             seed=derive_seed(seed, "subject", s),
-            clustering_variant=params.get("clustering_variant", "mean_local"),
+            clustering_variant=params["clustering_variant"],
             workers=config.workers,
         )
-        out.append({"subject": int(s), "result": res})
+        out.append({"subject": s, "result": res})
     return {"per_subject": out}
 
 
@@ -311,46 +337,35 @@ def _analysis_community(config, params, panel, matrices, networks, seed):
     for s, g in enumerate(networks):
         part = communities.louvain(g, seed=derive_seed(seed, "subject", s))
         entry = {"subject": s, "assignment": part.assignment, "q": part.q}
-        if params.get("cartography", False):
+        if params["cartography"]:
             entry["roles"] = communities.cartography(g, part.assignment)
         out.append(entry)
     return {"per_subject": out}
 
 
 def _analysis_compare(config, params, panel, matrices, networks, seed):
-    method = params.get("method", "nbs")
-    group_a = [matrices[int(s)] for s in params["group_a"]]
-    group_b = [matrices[int(s)] for s in params["group_b"]]
+    method = params["method"]
+    group_a = [matrices[s] for s in params["group_a"]]
+    group_b = [matrices[s] for s in params["group_b"]]
     if method == "edgewise":
-        res = groupcompare.edgewise_compare(
-            group_a, group_b, correction=params.get("correction", "bh-fdr")
-        )
-        pairs = res.edge_pairs()
-        _write_csv(
-            os.path.join(config.out_dir, "edgewise.csv"),
-            ["i", "j", "t", "p", "q"],
-            [
-                [pairs[e][0], pairs[e][1], res.t[e], res.p[e], res.q[e]]
-                for e in range(len(pairs))
-            ],
-        )
+        res = groupcompare.edgewise_compare(group_a, group_b, correction=params["correction"])
+        rows = [[i, j, t, p, q] for (i, j), t, p, q in zip(res.edge_pairs(), res.t, res.p, res.q)]
+        _write_csv(os.path.join(config.out_dir, "edgewise.csv"), ["i", "j", "t", "p", "q"], rows)
         return res
     test = {
         "t_threshold": params["t_threshold"],
-        "permutations": params.get("permutations", 1000),
+        "permutations": params["permutations"],
         "seed": derive_seed(seed, "permutations"),
-        "alternative": params.get("alternative", "two_sided"),
+        "alternative": params["alternative"],
     }
     if method == "nbs":
         return groupcompare.nbs(group_a, group_b, **test)
-    adjacency = groupcompare.adjacency_from_coordinates(
-        panel.coordinates, radius=params.get("radius", 1.5)
-    )
+    adjacency = groupcompare.adjacency_from_coordinates(panel.coordinates, radius=params["radius"])
     return groupcompare.spc(group_a, group_b, node_adjacency=adjacency, **test)
 
 
 def _analysis_ergm(config, params, panel, matrices, networks, seed):
-    terms = tuple(params.get("terms", ("edges", "two_stars", "triangles")))
+    terms = params["terms"]
     binaries = [g.binary() for g in networks]
     fits = []
     for s, g in enumerate(binaries):
@@ -362,11 +377,10 @@ def _analysis_ergm(config, params, panel, matrices, networks, seed):
     rep = ergm.representative_network(
         binaries,
         terms,
-        ensemble=params.get("ensemble", 50),
+        ensemble=params["ensemble"],
         seed=derive_seed(seed, "representative"),
     )
-    rep_path = os.path.join(config.out_dir, "representative_network.tsv")
-    rep.save(rep_path)
+    rep.save(os.path.join(config.out_dir, "representative_network.tsv"))
     return {
         "terms": list(terms),
         "per_subject": fits,
@@ -376,57 +390,45 @@ def _analysis_ergm(config, params, panel, matrices, networks, seed):
 
 
 def _analysis_twopart(config, params, panel, matrices, networks, seed):
-    omega_spec = params.get("omega")
-    omega = None
-    if omega_spec:
-        omega = twopart.CorrelationStructure(
-            kind=omega_spec["kind"],
-            **{k: v for k, v in omega_spec.items() if k != "kind"},
-        )
+    omega = twopart.CorrelationStructure(**params["omega"]) if params["omega"] else None
     data = twopart.build_dyad_dataset(
         [matrices],
         coordinates=panel.coordinates,
-        threshold=params.get("threshold", 0.0),
-        covariates=params.get("covariates"),
+        threshold=params["threshold"],
+        covariates=params["covariates"],
     )
     fit = twopart.twopart_fit(
         data,
-        presence_formula=tuple(params.get("presence_formula", ("intercept",))),
-        strength_formula=tuple(params.get("strength_formula", ("intercept",))),
+        presence_formula=params["presence_formula"],
+        strength_formula=params["strength_formula"],
         omega=omega,
-        gamma=params.get("gamma", "identity"),
-        quad_points=params.get("quad_points", 20),
-        maxfev=params.get("maxfev", 2000),
+        quad_points=params["quad_points"],
+        maxfev=params["maxfev"],
     )
+    strength = fit.strength
+    kept = ("names", "beta", "se", "tau2", "sigma_task", "loglik", "converged", "n_rows")
     return {
         "presence": fit.presence,
         "strength": {
-            "names": fit.strength.names,
-            "beta": fit.strength.beta,
-            "se": fit.strength.se,
-            "tau2": fit.strength.tau2,
-            "sigma_task": fit.strength.sigma_task,
-            "omega_kind": fit.strength.omega.kind,
-            "omega_params": fit.strength.omega.params(),
-            "loglik": fit.strength.loglik,
-            "converged": fit.strength.converged,
-            "n_rows": fit.strength.n_rows,
+            **{name: getattr(strength, name) for name in kept},
+            "omega_kind": strength.omega.kind,
+            "omega_params": strength.omega.params(),
         },
     }
 
 
 def _analysis_bootstrap(config, params, panel, matrices, networks, seed):
-    subject = int(params.get("subject", 0))
+    subject = params["subject"]
     return resampling.metric_error(
         panel.subjects[subject],
         metric=params["metric"],
         estimator=config.estimator,
         estimator_params=config.estimator_params,
         threshold_spec=config.threshold,
-        replicates=params.get("replicates", 200),
-        block_length=params.get("block_length"),
+        replicates=params["replicates"],
+        block_length=params["block_length"],
         seed=derive_seed(seed, "subject", subject),
-        level=params.get("level", 0.05),
+        level=params["level"],
     )
 
 
@@ -451,31 +453,26 @@ def run_pipeline(config):
     if config.estimator == "coherence" and "sampling_interval" not in est_params:
         est_params["sampling_interval"] = panel.sampling_interval
     matrices = parallel_map(
-        _estimate_one,
-        [(s, config.estimator, est_params) for s in panel.subjects],
+        partial(estimate, name=config.estimator, params=est_params),
+        panel.subjects,
         workers=config.workers,
     )
     networks = [apply_spec(cm, config.threshold) for cm in matrices]
 
-    written = {}
-    counts = {}
-    stage_seeds = {}
-    for spec in config.analyses:
-        kind = spec["type"]
+    written, counts, stage_seeds = {}, {}, {}
+    for kind, given, params in config.analyses:
         counts[kind] = counts.get(kind, 0) + 1
         label = kind if counts[kind] == 1 else f"{kind}_{counts[kind]}"
         seed = derive_seed(config.seed, "analysis", label)
         stage_seeds[label] = seed
         try:
-            result = _ANALYSIS_FUNCTIONS[kind](
-                config, spec.get("params", {}), panel, matrices, networks, seed
-            )
+            result = _ANALYSIS_FUNCTIONS[kind](config, params, panel, matrices, networks, seed)
         except TypeError as exc:
             raise ValueError(f"analysis {label!r} failed: {exc}") from exc
         report = {
             "analysis": kind,
             "label": label,
-            "params": spec.get("params", {}),
+            "params": given,
             "estimator": {"name": config.estimator, "params": config.estimator_params},
             "threshold": config.threshold,
             "seed": seed,

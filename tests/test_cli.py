@@ -2,13 +2,17 @@
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import fcnets
 from fcnets.cli import main
+from fcnets.pipeline import ANALYSIS_PARAMS, validate_config
 
 DATA = Path(fcnets.__file__).parent / "data"
 
@@ -84,6 +88,17 @@ def test_invalid_config_exits_2_with_problem_list(tmp_path, capsys):
     assert "manifest" in text and "wavelet" in text and "analyses" in text
     assert "output directory" in text
     assert len(report["problems"]) == 4
+
+
+@pytest.mark.parametrize("manifest", [[1, 2], {"subject_files": 5}])
+def test_malformed_manifest_exits_2(tmp_path, capsys, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    cfg = json.loads((DATA / "config.json").read_text())
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
+    assert code == 2 and out == ""
+    assert any("manifest unreadable" in p for p in json.loads(err)["problems"])
 
 
 def test_computational_failure_exits_1(capsys):
@@ -261,6 +276,10 @@ def test_pipeline_non_object_field_exits_2(tmp_path, capsys, field, needle):
 NBS = {"method": "nbs", "group_a": [0, 1, 2], "group_b": [3, 4, 5], "t_threshold": 2.0}
 
 
+def smallworld(**params):
+    return {"type": "smallworld", "params": {"subjects": [0], **params}}
+
+
 @pytest.mark.parametrize(
     "patch, code, needle",
     [
@@ -269,41 +288,85 @@ NBS = {"method": "nbs", "group_a": [0, 1, 2], "group_b": [3, 4, 5], "t_threshold
         ({"type": "ergm", "params": {"terms": 5}}, 2, "terms must be a list"),
         ({"type": "metrics", "params": {"metrics": 5}}, 2, "metrics must be a list"),
         ({"type": "smallworld", "params": {"subjects": 5}}, 2, "subjects must be a list"),
-        ({"type": "smallworld", "params": {"subjects": [99]}}, 2, "subjects indices out of range"),
-        ({"type": "compare", "params": {**NBS, "group_a": [[0], 1]}}, 2, "group_a indices must be"),
+        ({"type": "smallworld", "params": {"subjects": [99]}}, 2, "subjects must be <= 5, got 99"),
+        ({"type": "compare", "params": {**NBS, "group_a": [[0], 1]}}, 2, "group_a must be a list"),
         (
             {"type": "bootstrap", "params": {"subject": [0], "metric": "density"}},
             2,
-            "bootstrap subject must be",
+            "subject must be a subject index",
         ),
-        ({"type": "compare", "params": {**NBS, "permutations": "500"}}, 1, "analysis 'compare'"),
-        ({"type": "compare", "params": {**NBS, "t_threshold": "2"}}, 1, "analysis 'compare'"),
+        ({"type": "compare", "params": {**NBS, "permutations": "500"}}, 2, "permutations must be"),
+        ({"type": "compare", "params": {**NBS, "t_threshold": "2"}}, 2, "t_threshold must be"),
         (
             {"type": "smallworld", "params": {"subjects": [0], "null_count": "3"}},
-            1,
-            "analysis 'smallworld'",
+            2,
+            "null_count must be",
         ),
         (
             {"type": "twopart", "params": {"omega": {"kind": "exponential", "phi": "x"}}},
             1,
             "analysis 'twopart'",
         ),
+        (smallworld(null_count=0), 2, "null_count must be >= 1"),
+        (smallworld(null_count=-1), 2, "null_count must be >= 1"),
+        (smallworld(nul_count=3), 2, "unknown parameter 'nul_count'"),
+        (smallworld(swaps_per_edge=1.5), 2, "swaps_per_edge must be"),
+        ({"type": "community", "params": {"cartography": "no"}}, 2, "cartography must be"),
+        ({"type": "compare", "params": {**NBS, "group_a": [True, 1, 2]}}, 2, "group_a must be"),
+        (
+            {"type": "bootstrap", "params": {"subject": True, "metric": "density"}},
+            2,
+            "subject must be a subject index",
+        ),
+        ({"type": "bootstrap", "params": {"level": 2, "metric": "density"}}, 2, "level must be < 1"),
+        ({"type": "twopart", "params": {"gamma": "x"}}, 2, "unknown parameter 'gamma'"),
+        ({"type": "twopart", "params": {"covariates": [1, 2]}}, 2, "covariates must be an object"),
+        ({"seed": 1.7}, 2, "seed must be an integer"),
+        ({"seed": "7"}, 2, "seed must be an integer"),
+        ({"workers": [2]}, 2, "workers must be an integer"),
+        ({"out_dir": 5}, 2, "out_dir must be a string"),
+        (
+            {"estimator": {"name": "partial_correlation", "params": {"bogus": 1}}},
+            1,
+            "estimator 'partial_correlation' failed",
+        ),
+        (
+            {"estimator": {"name": "partial_correlation", "params": {"shrinkage": "x"}}},
+            1,
+            "estimator 'partial_correlation' failed",
+        ),
+        (
+            {"estimator": {"name": "coherence", "params": {"band": "ab"}}},
+            1,
+            "estimator 'coherence' failed",
+        ),
+        (
+            {"estimator": {"name": "synchronization", "params": {"lag": "x"}}},
+            1,
+            "estimator 'synchronization' failed",
+        ),
     ],
     ids=[
         "estimator_params", "group_a", "terms", "metrics", "subjects", "subjects_range",
         "group_a_nested", "bootstrap_subject",
         "permutations", "t_threshold", "null_count", "omega_phi",
+        "null_count_zero", "null_count_negative", "null_count_typo", "swaps_per_edge_float",
+        "cartography_string", "group_a_bool", "bootstrap_subject_bool", "level_above_1",
+        "twopart_gamma", "twopart_covariates_list", "seed_float", "seed_string",
+        "workers_list", "out_dir_int", "partial_correlation_unknown", "shrinkage_string",
+        "coherence_band_string", "synchronization_lag_string",
     ],
 )
 def test_pipeline_wrongly_typed_param_is_a_structured_error(
     tmp_path, capsys, patch, code, needle
 ):
     """A wrongly typed or out-of-range param is a validation problem (exit 2)
-    or a ValueError naming the analysis (exit 1), never a traceback. patch
-    is either a config field or one analysis to run."""
+    or a ValueError naming the analysis or estimator (exit 1), never a
+    traceback. patch is either top-level config fields or one analysis to
+    run."""
     cfg = json.loads((DATA / "config.json").read_text())
     cfg["manifest"] = str(DATA / "manifest.json")
-    cfg.update(patch if "estimator" in patch else {"analyses": [patch]})
+    cfg.update({"analyses": [patch]} if "type" in patch else patch)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     got, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
@@ -314,6 +377,109 @@ def test_pipeline_wrongly_typed_param_is_a_structured_error(
         assert any(needle in p for p in report["problems"])
     else:
         assert report["error"] == "ValueError" and needle in report["message"]
+
+
+# one valid analysis of each type on the bundled data, using every default it can
+VALID_PARAMS = {
+    "metrics": {},
+    "smallworld": {},
+    "community": {},
+    "compare": {"method": "edgewise", "group_a": [0, 1, 2], "group_b": [3, 4, 5]},
+    "ergm": {},
+    "twopart": {},
+    "bootstrap": {"metric": "density"},
+}
+JSON_VALUES = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-(10**6), 10**6),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=8),
+    "array": st.lists(st.integers(0, 5), max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+}
+ACCEPTED = {  # table kind: the JSON kinds it takes
+    "int": {"int"},
+    "subject": {"int"},
+    "number": {"int", "float"},
+    "str": {"string"},
+    "bool": {"bool"},
+    "object": {"object"},
+}
+PROPERTY = settings(
+    max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def validation_problems(capsys, kind, params):
+    """Problems from a pipeline run of one analysis that must fail validation:
+    exit 2, empty stdout, a JSON "validation" error and no output directory."""
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    cfg["analyses"] = [{"type": kind, "params": params}]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", Path(tmp) / "run")
+        assert not (Path(tmp) / "run").exists()
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "validation"
+    return report["problems"]
+
+
+def test_valid_params_pass_and_defaults_are_filled():
+    raw = {
+        "manifest": str(DATA / "manifest.json"),
+        "estimator": "correlation",
+        "analyses": [{"type": kind, "params": p} for kind, p in VALID_PARAMS.items()],
+        "out_dir": "unused",
+    }
+    checked = {kind: params for kind, _, params in validate_config(raw).analyses}
+    assert set(checked) == set(ANALYSIS_PARAMS)
+    for kind, params in checked.items():
+        assert set(params) == set(ANALYSIS_PARAMS[kind])
+    assert checked["smallworld"]["subjects"] == [0, 1, 2, 3, 4, 5]
+    assert checked["compare"]["permutations"] == 1000 and checked["compare"]["t_threshold"] is None
+    assert checked["bootstrap"] == {
+        "subject": 0, "metric": "density", "replicates": 200, "block_length": None, "level": 0.05,
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, name", [(kind, name) for kind, table in ANALYSIS_PARAMS.items() for name in table]
+)
+@PROPERTY
+@given(data=st.data())
+def test_pipeline_rejects_a_param_of_another_json_kind(capsys, kind, name, data):
+    param = ANALYSIS_PARAMS[kind][name]
+    accepted = {"array"} if param.many else ACCEPTED[param.kind]
+    if param.default is None:
+        accepted = accepted | {"null"}
+    json_kind = data.draw(st.sampled_from(sorted(set(JSON_VALUES) - accepted)))
+    value = data.draw(JSON_VALUES[json_kind])
+    problems = validation_problems(capsys, kind, {**VALID_PARAMS[kind], name: value})
+    assert any(name in p for p in problems)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(sorted(ANALYSIS_PARAMS)), key=st.text(min_size=1, max_size=12))
+def test_pipeline_rejects_an_unknown_param(capsys, kind, key):
+    assume(key not in ANALYSIS_PARAMS[kind])
+    problems = validation_problems(capsys, kind, {**VALID_PARAMS[kind], key: 1})
+    assert any(f"unknown parameter {key!r}" in p for p in problems)
+
+
+def test_estimate_unknown_param_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "estimate", "--in", DATA / "subject_0.csv",
+        "--measure", "partial_correlation", "--params", '{"bogus": 1}',
+    )
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert "partial_correlation" in report["message"] and "bogus" in report["message"]
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,9 @@ def test_stats_known_graphs():
     assert list(ergm_stats(triangle())) == [3.0, 3.0, 1.0]
     assert list(ergm_stats(path_graph(3))) == [2.0, 1.0, 0.0]
     assert list(ergm_stats(triangle(), ("edges",))) == [3.0]
+    # weights are ignored, as in the change statistics and the MPLE design
+    weighted = WeightedNetwork(3, [(0, 1, 0.5), (1, 2, 0.5), (0, 2, 0.5)])
+    assert list(ergm_stats(weighted)) == [3.0, 3.0, 1.0]
 
 
 def test_change_stats_match_stat_difference(rng):
@@ -158,7 +161,9 @@ def test_representative_network(rng):
     assert rep.meta["excluded_subjects"] == []
     assert rep.meta["target_stats"] == [pytest.approx(target)]
     assert rep.meta["achieved_stats"] == [float(rep.edge_count)]
-    again = representative_network(group, terms=("edges",), ensemble=20, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        again = representative_network(group, terms=("edges",), ensemble=20, seed=2)
     assert again.edges == rep.edges
 
 
@@ -177,6 +182,23 @@ def test_representative_network_records_pinned_fraction():
     model = ErgmModel(("edges",), np.array(rep.meta["theta"]))
     direct = ergm_simulate(model, 8, count=5, seed=2)
     assert rep.meta["pinned_burn_in"] == direct[0].meta["pinned_burn_in"] > 0
+
+
+def test_representative_network_warns_on_an_all_complete_ensemble(monkeypatch):
+    # at this theta the seed-2 chain reaches the complete graph late in burn-in,
+    # under the burn-in warning line, and stays there
+    terms = ("edges", "triangles")
+    fit = ergm.ErgmFit(terms, np.array([-1.94, 2.15]), np.ones(2), 0.0, 1, 8)
+    monkeypatch.setattr(ergm, "ergm_mple", lambda g, terms: fit)
+    group = [BinaryNetwork(8, [(0, 1), (1, 2), (0, 2)])] * 2
+    with pytest.warns(RuntimeWarning, match="all ensemble samples are empty or complete") as seen:
+        rep = representative_network(group, terms=terms, ensemble=5, seed=2)
+    assert len(seen) == 1
+    assert rep.edge_count == 28 and rep.meta["pinned_burn_in"] < 0.5
+    assert set(rep.meta) == {
+        "model", "pinned_burn_in", "theta", "terms", "target_stats", "achieved_stats",
+        "ensemble", "excluded_subjects",
+    }
 
 
 def test_dyad_design_matches_change_stats_on_every_dyad(rng):
