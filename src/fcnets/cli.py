@@ -174,9 +174,7 @@ def _cmd_twopart(args):
     data = twopart.build_dyad_dataset(
         group, coordinates=coords, threshold=args.presence_threshold
     )
-    omega = None
-    if args.omega != "identity":
-        omega = twopart.CorrelationStructure(kind=args.omega)
+    omega = twopart.CorrelationStructure(args.omega)
     fit = twopart.twopart_fit(data, omega=omega, maxfev=args.maxfev)
     return {
         "presence": fit.presence,

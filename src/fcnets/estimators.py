@@ -320,7 +320,7 @@ def estimate(series, name, params=None):
     try:
         params = dict(params or {})
         if name == "correlation":
-            return correlation_matrix(series)
+            return correlation_matrix(series, **params)
         if name == "partial_correlation":
             return partial_correlation_matrix(series, **params)
         if name == "coherence":

@@ -178,6 +178,24 @@ def _value_problems(label, param, value, subject_count):
     return []
 
 
+def _nested_problems(tag, checked):
+    """Problems inside params that passed the table: ergm terms must start
+    with edges and not repeat, and a twopart omega must build a
+    CorrelationStructure, which then replaces the omega dict."""
+    problems = []
+    if "terms" in checked:
+        try:
+            ergm._check_terms(checked["terms"])
+        except ValueError as exc:
+            problems.append(f"{tag}: terms: {exc}")
+    if checked.get("omega") is not None:
+        try:
+            checked["omega"] = twopart.CorrelationStructure(**checked["omega"])
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{tag}: omega: {exc}")
+    return problems
+
+
 def validate_config(raw, base_dir=".", out_dir=None):
     """Check every field of a raw config dict; raise ConfigError listing all
     problems, or return a PipelineConfig."""
@@ -251,20 +269,16 @@ def validate_config(raw, base_dir=".", out_dir=None):
             problems.append(f"{tag}: params must be an object, got {params!r}")
             continue
         checked, found = _checked_params(tag, ANALYSIS_PARAMS[spec["type"]], params, subject_count)
-        problems += found
+        problems += found or _nested_problems(tag, checked)
         checked_analyses.append((spec["type"], params, checked))
         method, omega = checked.get("method"), checked.get("omega")
-        omega_kind = omega.get("kind") if isinstance(omega, dict) else None
         if method in ("nbs", "spc") and checked["t_threshold"] is None:
             problems.append(f"{tag}: {method} needs 't_threshold'")
-        if isinstance(omega, dict) and omega_kind not in twopart.STRUCTURE_KINDS:
-            problems.append(
-                f"{tag}: omega kind {omega_kind!r} unknown; choose from {twopart.STRUCTURE_KINDS}"
-            )
-        elif not has_coordinates and (
-            method == "spc" or omega_kind not in (None, "identity", "compound_symmetry")
-        ):
-            user = "spc" if method == "spc" else f"omega kind {omega_kind!r}"
+        distance_omega = isinstance(omega, twopart.CorrelationStructure) and (
+            omega.kind not in twopart.DISTANCE_FREE_KINDS
+        )
+        if not has_coordinates and (method == "spc" or distance_omega):
+            user = "spc" if method == "spc" else f"omega kind {omega.kind!r}"
             problems.append(f"{tag}: {user} needs node coordinates in the manifest")
 
     given = {key: raw[key] for key in _CONFIG_PARAMS if key in raw}
@@ -390,7 +404,6 @@ def _analysis_ergm(config, params, panel, matrices, networks, seed):
 
 
 def _analysis_twopart(config, params, panel, matrices, networks, seed):
-    omega = twopart.CorrelationStructure(**params["omega"]) if params["omega"] else None
     data = twopart.build_dyad_dataset(
         [matrices],
         coordinates=panel.coordinates,
@@ -401,7 +414,7 @@ def _analysis_twopart(config, params, panel, matrices, networks, seed):
         data,
         presence_formula=params["presence_formula"],
         strength_formula=params["strength_formula"],
-        omega=omega,
+        omega=params["omega"],
         quad_points=params["quad_points"],
         maxfev=params["maxfev"],
     )

@@ -10,13 +10,22 @@ midpoints), and, with several tasks, a task correlation crossed with the
 dyad correlation. Each evaluation of the strength likelihood builds every
 subject's dense covariance over its present rows and Cholesky-factors it
 once; that factor gives both the GLS coefficients and the log-likelihood.
+Each correlation kind is stated once, in `_KINDS` (its parameters and its
+kernel over distances), and each parameter once, in `_PARAMS` (its range,
+its optimizer transform and its start value when unset).
+
 `kronecker_loglik` evaluates complete task-by-dyad grids in factored form,
-without the dense matrix, for callers that have such grids.
+without the dense matrix. Nothing in the package calls it: it stays public
+as the factored-form likelihood that the tests and the benchmark check
+against the dense form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -26,28 +35,73 @@ from scipy.special import expit, logsumexp
 
 from .estimators import CORRELATION_MEASURES
 
-STRUCTURE_KINDS = (
-    "identity",
-    "compound_symmetry",
-    "ar1",
-    "lear",
-    "damped_exponential",
-    "exponential",
-    "gaussian",
-    "linear",
-    "spherical",
-)
 
-_DISTANCE_FREE = ("identity", "compound_symmetry")
+def _lear(s, d):
+    off = d[~np.eye(d.shape[0], dtype=bool)]
+    d_min = s.d_min if s.d_min is not None else float(off.min())
+    d_max = s.d_max if s.d_max is not None else float(off.max())
+    if d_max <= d_min:
+        raise ValueError(f"lear needs d_max > d_min, got d_min={d_min} d_max={d_max}")
+    return s.rho ** (d_min + s.delta * (d - d_min) / (d_max - d_min))
+
+
+def _spherical(s, d):
+    u = d / s.phi
+    return np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0)
+
+
+class _Kind(NamedTuple):
+    params: tuple  # fitted parameters, in optimizer order
+    kernel: object  # (structure, distances) -> correlations, diagonal not yet set; None: identity
+    distances: bool = True  # False: the kernel ignores distances
+    fixed: tuple = ()  # parameters that are used as given and never fitted
+
+
+_KINDS = {
+    "identity": _Kind((), None, distances=False),
+    "compound_symmetry": _Kind(("rho",), lambda s, d: np.full(d.shape, s.rho), distances=False),
+    "ar1": _Kind(("rho",), lambda s, d: s.rho**d),
+    "lear": _Kind(("rho", "delta"), _lear, fixed=("d_min", "d_max")),
+    "damped_exponential": _Kind(("rho", "nu"), lambda s, d: s.rho ** (d**s.nu)),
+    "exponential": _Kind(("phi",), lambda s, d: np.exp(-d / s.phi)),
+    "gaussian": _Kind(("phi",), lambda s, d: np.exp(-((d / s.phi) ** 2))),
+    "linear": _Kind(("phi",), lambda s, d: np.where(s.phi * d <= 1.0, 1.0 - s.phi * d, 0.0)),
+    "spherical": _Kind(("phi",), _spherical),
+}
+STRUCTURE_KINDS = tuple(_KINDS)
+DISTANCE_FREE_KINDS = tuple(kind for kind, spec in _KINDS.items() if not spec.distances)
+
+
+def _log_median(off):
+    return np.log(max(float(np.median(off)) if off.size else 1.0, 1e-6))
+
+
+class _Param(NamedTuple):
+    low: float  # excluded unless closed
+    high: float  # excluded
+    closed: bool = False
+    to_x: object = None  # value -> optimizer coordinate
+    from_x: object = None  # optimizer coordinate -> value
+    start: object = None  # off-diagonal distances -> coordinate when unset
+
+
+_PARAMS = {
+    "rho": _Param(0.0, 1.0, False, lambda v: np.log(v / (1 - v)), expit, lambda off: 0.0),
+    "delta": _Param(0.0, np.inf, True, lambda v: np.log(max(v, 1e-6)), np.exp, lambda off: 0.0),
+    "nu": _Param(0.0, np.inf, False, np.log, np.exp, lambda off: np.log(0.5)),
+    "phi": _Param(0.0, np.inf, False, np.log, np.exp, _log_median),
+    "d_min": _Param(0.0, np.inf, True),
+    "d_max": _Param(0.0, np.inf, True),
+}
 
 
 @dataclass(frozen=True)
 class CorrelationStructure:
     """Parametric correlation over distances; unset params are fitted.
 
-    kinds and parameters:
+    kinds, parameters and correlation at distance d:
       identity            none
-      compound_symmetry   rho
+      compound_symmetry   rho        rho
       ar1                 rho        rho**d
       lear                rho, delta rho**(d_min + delta (d - d_min)/(d_max - d_min))
       damped_exponential  rho, nu    rho**(d**nu)
@@ -55,6 +109,11 @@ class CorrelationStructure:
       gaussian            phi        exp(-(d / phi)**2)
       linear              phi        (1 - phi d) where phi d <= 1, else 0
       spherical           phi        (1 - 1.5 u + 0.5 u^3), u = d/phi <= 1, else 0
+
+    A set value must be a number (not a bool) in range: rho in (0, 1);
+    delta >= 0; nu > 0; phi > 0. lear alone also takes d_min and d_max
+    (>= 0; unset, they are the smallest and largest off-diagonal distance).
+    Any other kind given a parameter it does not use is an error.
     """
 
     kind: str
@@ -67,37 +126,28 @@ class CorrelationStructure:
 
     def __post_init__(self):
         if self.kind not in STRUCTURE_KINDS:
-            raise ValueError(
-                f"unknown structure {self.kind!r}; choose from {STRUCTURE_KINDS}"
-            )
+            raise ValueError(f"unknown structure {self.kind!r}; choose from {STRUCTURE_KINDS}")
+        spec = _KINDS[self.kind]
+        for name, p in _PARAMS.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if name not in spec.params + spec.fixed:
+                raise ValueError(
+                    f"{self.kind} takes no parameter {name}; "
+                    f"its parameters: {spec.params + spec.fixed}"
+                )
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{self.kind}: {name} must be a number, got {value!r}")
+            if not (value >= p.low if p.closed else value > p.low) or not value < p.high:
+                bounds = f"{'[' if p.closed else '('}{p.low:g}, {p.high:g})"
+                raise ValueError(f"{self.kind}: {name} must lie in {bounds}, got {value!r}")
 
     def param_names(self):
-        return {
-            "identity": (),
-            "compound_symmetry": ("rho",),
-            "ar1": ("rho",),
-            "lear": ("rho", "delta"),
-            "damped_exponential": ("rho", "nu"),
-            "exponential": ("phi",),
-            "gaussian": ("phi",),
-            "linear": ("phi",),
-            "spherical": ("phi",),
-        }[self.kind]
+        return _KINDS[self.kind].params
 
     def params(self):
         return {name: getattr(self, name) for name in self.param_names()}
-
-
-def _check_structure_params(structure):
-    p = structure.params()
-    if "rho" in p and not (0.0 < p["rho"] < 1.0):
-        raise ValueError(f"{structure.kind}: rho must lie in (0, 1), got {p['rho']}")
-    if "delta" in p and p["delta"] < 0:
-        raise ValueError(f"lear: delta must be >= 0, got {p['delta']}")
-    if "nu" in p and p["nu"] <= 0:
-        raise ValueError(f"damped_exponential: nu must be > 0, got {p['nu']}")
-    if "phi" in p and p["phi"] <= 0:
-        raise ValueError(f"{structure.kind}: phi must be > 0, got {p['phi']}")
 
 
 def corr_matrix(structure, distances):
@@ -110,47 +160,19 @@ def corr_matrix(structure, distances):
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distances must be a square matrix")
-    if structure.kind == "identity":
+    kernel = _KINDS[structure.kind].kernel
+    if kernel is None:
         return np.eye(d.shape[0])
     for name, value in structure.params().items():
         if value is None:
             raise ValueError(f"{structure.kind}: parameter {name} is unset")
-    _check_structure_params(structure)
-    k = structure.kind
-    if k == "compound_symmetry":
-        out = np.full(d.shape, structure.rho)
-    elif k == "ar1":
-        out = structure.rho**d
-    elif k == "lear":
-        off = d[~np.eye(d.shape[0], dtype=bool)]
-        d_min = structure.d_min if structure.d_min is not None else float(off.min())
-        d_max = structure.d_max if structure.d_max is not None else float(off.max())
-        if d_max <= d_min:
-            raise ValueError(
-                f"lear needs d_max > d_min, got d_min={d_min} d_max={d_max}"
-            )
-        expo = d_min + structure.delta * (d - d_min) / (d_max - d_min)
-        out = structure.rho**expo
-    elif k == "damped_exponential":
-        out = structure.rho ** (d**structure.nu)
-    elif k == "exponential":
-        out = np.exp(-d / structure.phi)
-    elif k == "gaussian":
-        out = np.exp(-((d / structure.phi) ** 2))
-    elif k == "linear":
-        u = structure.phi * d
-        out = np.where(u <= 1.0, 1.0 - u, 0.0)
-    elif k == "spherical":
-        u = d / structure.phi
-        out = np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0)
-    else:  # pragma: no cover
-        raise AssertionError(k)
+    out = kernel(structure, d)
     np.fill_diagonal(out, 1.0)
     out = (out + out.T) / 2
     min_eig = float(np.linalg.eigvalsh(out).min())
     if min_eig < -1e-8:
         raise ValueError(
-            f"{k} with params {structure.params()} is not positive semidefinite "
+            f"{structure.kind} with params {structure.params()} is not positive semidefinite "
             f"(min eigenvalue {min_eig:.3e})"
         )
     return out
@@ -184,18 +206,22 @@ class DyadDataset:
         return self.subject.size
 
     def design(self, names):
-        cols = []
-        for name in names:
-            if name == "intercept":
-                cols.append(np.ones(self.n_rows()))
-            elif name in self.covariates:
-                cols.append(np.asarray(self.covariates[name], dtype=float))
-            else:
-                raise ValueError(
-                    f"unknown covariate {name!r}; available: "
-                    f"{sorted(self.covariates)} plus 'intercept'"
-                )
-        return np.column_stack(cols)
+        return _design(names, self.covariates, self.n_rows())
+
+
+def _design(names, covariates, rows):
+    """One column per name: ones for 'intercept', else that covariate's values."""
+    cols = []
+    for name in names:
+        if name == "intercept":
+            cols.append(np.ones(rows))
+        elif name in covariates:
+            cols.append(np.asarray(covariates[name], dtype=float))
+        else:
+            raise ValueError(
+                f"unknown covariate {name!r}; available: {sorted(covariates)} plus 'intercept'"
+            )
+    return np.column_stack(cols)
 
 
 def build_dyad_dataset(
@@ -294,6 +320,22 @@ def _fd_hessian(f, x, h):
     return H
 
 
+def _minimize(objective, start, maxfev, step):
+    """Nelder-Mead from start, then each coordinate's standard error from the
+    inverse central-difference Hessian at the optimum (steps step * (1 + |x|));
+    NaN where that variance is not positive or the Hessian is singular."""
+    res = optimize.minimize(
+        objective, start, method="Nelder-Mead",
+        options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-9},
+    )
+    H = _fd_hessian(objective, res.x, step * (1.0 + np.abs(res.x)))
+    try:
+        var = np.diag(np.linalg.inv(H))
+    except np.linalg.LinAlgError:
+        var = np.full(res.x.size, np.nan)
+    return res, np.sqrt(np.where(var > 0, var, np.nan))
+
+
 # ---------------------------------------------------------------------------
 # Part I: mixed-effects logistic presence model
 
@@ -365,24 +407,12 @@ def _fit_presence(data, names, quad_points, maxfev):
             return 1e10
         return -_presence_marginal(params, X, y, subj, data.n_subjects, nodes, weights)
 
-    res = optimize.minimize(
-        objective, start, method="Nelder-Mead",
-        options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-9},
-    )
-    params = res.x
-    # Standard errors from the numerical Hessian of the marginal deviance.
-    p = params.size
-    H = _fd_hessian(objective, params, 1e-4 * (1.0 + np.abs(params)))
-    try:
-        cov = np.linalg.inv(H)
-        se = np.sqrt(np.clip(np.diag(cov), 0, None))[: p - 1]
-    except np.linalg.LinAlgError:
-        se = np.full(p - 1, np.nan)
+    res, se = _minimize(objective, start, maxfev, 1e-4)
     return PresenceFit(
         names=tuple(names),
-        beta=params[:-1],
-        se=se,
-        tau=float(np.exp(params[-1])),
+        beta=res.x[:-1],
+        se=se[:-1],
+        tau=float(np.exp(res.x[-1])),
         loglik=-float(res.fun),
         converged=bool(res.success),
         quad_points=quad_points,
@@ -500,54 +530,53 @@ def _hyperspherical_corr(angles_x, T):
 
 
 class _OmegaParam:
-    """Maps optimizer coordinates to an Omega correlation matrix."""
+    """Maps optimizer coordinates to a structure's correlation matrix over
+    distances (between dyads for Omega, between task times for Gamma)."""
 
-    def __init__(self, structure, distances, n_dyads):
+    def __init__(self, structure, distances, size):
         self.structure = structure
-        self.kind = structure.kind
-        if self.kind not in _DISTANCE_FREE and distances is None:
+        if _KINDS[structure.kind].distances and distances is None:
             raise ValueError(
-                f"structure {self.kind!r} needs dyad distances; provide node "
-                "coordinates or use compound_symmetry / identity"
+                f"structure {structure.kind!r} needs dyad distances; provide node "
+                f"coordinates or use one of {DISTANCE_FREE_KINDS}"
             )
-        self.distances = (
-            np.zeros((n_dyads, n_dyads)) if distances is None else distances
-        )
-        if self.kind == "lear":
-            off = self.distances[~np.eye(n_dyads, dtype=bool)]
-            if off.size and float(off.max()) <= float(off.min()):
-                raise ValueError("lear needs d_max > d_min among dyad distances")
-        names = structure.param_names()
-        self.names = names
-        start = []
-        for name in names:
-            val = getattr(structure, name)
-            if name == "rho":
-                start.append(0.0 if val is None else np.log(val / (1 - val)))
-            elif name == "delta":
-                start.append(0.0 if val is None else np.log(max(val, 1e-6)))
-            elif name == "nu":
-                start.append(np.log(0.5) if val is None else np.log(val))
-            else:  # phi
-                if val is None:
-                    off = self.distances[~np.eye(n_dyads, dtype=bool)]
-                    med = float(np.median(off)) if off.size else 1.0
-                    start.append(np.log(max(med, 1e-6)))
-                else:
-                    start.append(np.log(val))
-        self.start = np.array(start)
+        self.distances = np.zeros((size, size)) if distances is None else distances
+        self.names = structure.param_names()
+        off = self.distances[~np.eye(size, dtype=bool)]
+        values = [getattr(structure, name) for name in self.names]
+        self.start = np.array([
+            _PARAMS[name].start(off) if v is None else _PARAMS[name].to_x(v)
+            for name, v in zip(self.names, values)
+        ])
 
     def structure_at(self, x):
-        kw = {}
-        for name, xv in zip(self.names, x):
-            if name == "rho":
-                kw[name] = float(expit(xv))
-            else:
-                kw[name] = float(np.exp(xv))
+        kw = {name: float(_PARAMS[name].from_x(xv)) for name, xv in zip(self.names, x)}
         return replace(self.structure, **kw)
 
     def matrix(self, x):
         return corr_matrix(self.structure_at(x), self.distances)
+
+
+class _FixedParam(NamedTuple):
+    """Optimizer coordinates of an identity or unstructured Gamma."""
+
+    start: np.ndarray
+    matrix: object  # coordinates -> Gamma
+
+
+def _gamma_param(gamma, data):
+    """(Gamma kind, its parametrization) for twopart_fit's gamma argument."""
+    T = data.n_tasks
+    if isinstance(gamma, CorrelationStructure):
+        if T == 1:
+            raise ValueError("a task correlation needs more than one task")
+        if data.task_times is None:
+            raise ValueError("patterned task correlation needs task_times")
+        tt = np.abs(data.task_times[:, None] - data.task_times[None, :])
+        return gamma.kind, _OmegaParam(gamma, tt, T)
+    if gamma == "unstructured" and T > 1:
+        return "unstructured", _FixedParam(np.zeros(T * (T - 1) // 2), partial(_hyperspherical_corr, T=T))
+    return "identity", _FixedParam(np.zeros(0), lambda x: np.eye(T))
 
 
 @dataclass
@@ -570,54 +599,22 @@ class StrengthFit:
 def _fit_strength(data, names, omega, gamma, maxfev):
     design = _StrengthDesign(data, names)
     T = design.n_tasks
-    omega = omega if omega is not None else CorrelationStructure("identity")
-    om = _OmegaParam(omega, data.dyad_distances, design.n_dyads)
-
-    if isinstance(gamma, CorrelationStructure):
-        if T == 1:
-            raise ValueError("a task correlation needs more than one task")
-        if data.task_times is None:
-            raise ValueError("patterned task correlation needs task_times")
-        tt = np.abs(data.task_times[:, None] - data.task_times[None, :])
-        gm_param = _OmegaParam(gamma, tt, T)
-        gamma_kind = gamma.kind
-    elif gamma == "unstructured" and T > 1:
-        gm_param = None
-        gamma_kind = "unstructured"
-    else:
-        gm_param = None
-        gamma_kind = "identity"
+    om = _OmegaParam(omega or CorrelationStructure("identity"), data.dyad_distances, design.n_dyads)
+    gamma_kind, gm = _gamma_param(gamma, data)
+    n_om = om.start.size
 
     ols_beta, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
     ols_var = float(np.var(design.y - design.X @ ols_beta)) or 1e-4
-
     # Coordinate layout: [log tau2, log sigma_t^2 (T), omega params, gamma params]
-    start = [np.log(max(0.2 * ols_var, 1e-6))]
-    start += [np.log(max(0.8 * ols_var, 1e-6))] * T
-    start += list(om.start)
-    n_gamma = 0
-    if gamma_kind == "unstructured":
-        n_gamma = T * (T - 1) // 2
-        start += [0.0] * n_gamma
-    elif gm_param is not None:
-        n_gamma = gm_param.start.size
-        start += list(gm_param.start)
-    start = np.array(start)
-    n_om = om.start.size
+    start = np.concatenate([
+        [np.log(max(0.2 * ols_var, 1e-6))], [np.log(max(0.8 * ols_var, 1e-6))] * T, om.start, gm.start,
+    ])
 
     def unpack(params):
+        om_x = params[1 + T : 1 + T + n_om]
         tau2 = float(np.exp(params[0]))
         sigma_task = np.sqrt(np.exp(params[1 : 1 + T]))
-        om_x = params[1 + T : 1 + T + n_om]
-        gm_x = params[1 + T + n_om :]
-        omega_m = om.matrix(om_x)
-        if gamma_kind == "unstructured":
-            gamma_m = _hyperspherical_corr(gm_x, T)
-        elif gm_param is not None:
-            gamma_m = gm_param.matrix(gm_x)
-        else:
-            gamma_m = np.eye(T)
-        return tau2, sigma_task, omega_m, gamma_m, om_x
+        return tau2, sigma_task, om.matrix(om_x), gm.matrix(params[1 + T + n_om :]), om_x
 
     def objective(params):
         if np.max(np.abs(params)) > 25:
@@ -649,39 +646,22 @@ def _fit_strength(data, names, omega, gamma, maxfev):
                 f"strength covariance is degenerate at the starting values: {exc}{hint}"
             ) from exc
 
-    res = optimize.minimize(
-        objective, start, method="Nelder-Mead",
-        options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-9},
-    )
+    # Variance-parameter uncertainty from the profile deviance (transformed scale).
+    res, param_se = _minimize(objective, start, maxfev, 1e-3)
     if res.fun >= 1e10:
         raise ValueError("no valid covariance parameters found during optimization")
-    params = res.x
-    tau2, sigma_task, omega_m, gamma_m, om_x = unpack(params)
+    tau2, sigma_task, omega_m, gamma_m, om_x = unpack(res.x)
     ll, beta, xtx = _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2)
-    beta_cov = np.linalg.inv(xtx)
-    se = np.sqrt(np.diag(beta_cov))
-
-    # Variance-parameter uncertainty from the profile deviance (transformed scale).
     labels = (
         ["log_tau2"]
         + [f"log_sigma2_task{t}" for t in range(T)]
         + [f"omega_{n}" for n in om.names]
-        + [f"gamma_{i}" for i in range(n_gamma)]
+        + [f"gamma_{i}" for i in range(gm.start.size)]
     )
-    H = _fd_hessian(objective, params, 1e-3 * (1.0 + np.abs(params)))
-    try:
-        pc = np.linalg.inv(H)
-        param_se = {
-            lab: float(np.sqrt(v)) if v > 0 else float("nan")
-            for lab, v in zip(labels, np.diag(pc))
-        }
-    except np.linalg.LinAlgError:
-        param_se = {lab: float("nan") for lab in labels}
-
     return StrengthFit(
         names=tuple(names),
         beta=beta,
-        se=se,
+        se=np.sqrt(np.diag(np.linalg.inv(xtx))),
         tau2=tau2,
         sigma_task=sigma_task,
         omega=om.structure_at(om_x),
@@ -691,7 +671,7 @@ def _fit_strength(data, names, omega, gamma, maxfev):
         loglik=float(ll),
         converged=bool(res.success),
         n_rows=int(design.y.size),
-        param_se=param_se,
+        param_se={lab: float(v) for lab, v in zip(labels, param_se)},
     )
 
 
@@ -741,20 +721,8 @@ def twopart_predict(fit, covariates):
     if len(sizes) != 1:
         raise ValueError("covariate arrays must share a length")
     rows = sizes.pop()
-
-    def build(names):
-        cols = []
-        for name in names:
-            if name == "intercept":
-                cols.append(np.ones(rows))
-            elif name in covariates:
-                cols.append(np.asarray(covariates[name], dtype=float))
-            else:
-                raise ValueError(f"missing covariate {name!r} for prediction")
-        return np.column_stack(cols)
-
-    eta_v = build(fit.presence.names) @ fit.presence.beta
-    eta_s = build(fit.strength.names) @ fit.strength.beta
+    eta_v = _design(fit.presence.names, covariates, rows) @ fit.presence.beta
+    eta_s = _design(fit.strength.names, covariates, rows) @ fit.strength.beta
     return {
         "presence_probability": expit(eta_v),
         "expected_strength": np.tanh(eta_s),

@@ -280,6 +280,10 @@ def smallworld(**params):
     return {"type": "smallworld", "params": {"subjects": [0], **params}}
 
 
+def twopart_omega(kind="exponential", **omega):
+    return {"type": "twopart", "params": {"omega": {"kind": kind, **omega}}}
+
+
 @pytest.mark.parametrize(
     "patch, code, needle",
     [
@@ -302,11 +306,7 @@ def smallworld(**params):
             2,
             "null_count must be",
         ),
-        (
-            {"type": "twopart", "params": {"omega": {"kind": "exponential", "phi": "x"}}},
-            1,
-            "analysis 'twopart'",
-        ),
+        (twopart_omega(phi="x"), 2, "phi must be a number"),
         (smallworld(null_count=0), 2, "null_count must be >= 1"),
         (smallworld(null_count=-1), 2, "null_count must be >= 1"),
         (smallworld(nul_count=3), 2, "unknown parameter 'nul_count'"),
@@ -345,6 +345,16 @@ def smallworld(**params):
             1,
             "estimator 'synchronization' failed",
         ),
+        (
+            {"estimator": {"name": "correlation", "params": {"bogus": 1}}},
+            1,
+            "estimator 'correlation' failed",
+        ),
+        ({"type": "ergm", "params": {"terms": ["edges", "edges"]}}, 2, "terms: duplicate terms"),
+        ({"type": "ergm", "params": {"terms": ["triangles"]}}, 2, "terms must start with 'edges'"),
+        (twopart_omega(bogus=1), 2, "'bogus'"),
+        (twopart_omega("compound_symmetry", rho=1.5), 2, "rho must lie in (0, 1), got 1.5"),
+        (twopart_omega(phi=-2), 2, "phi must lie in (0, inf), got -2"),
     ],
     ids=[
         "estimator_params", "group_a", "terms", "metrics", "subjects", "subjects_range",
@@ -354,16 +364,18 @@ def smallworld(**params):
         "cartography_string", "group_a_bool", "bootstrap_subject_bool", "level_above_1",
         "twopart_gamma", "twopart_covariates_list", "seed_float", "seed_string",
         "workers_list", "out_dir_int", "partial_correlation_unknown", "shrinkage_string",
-        "coherence_band_string", "synchronization_lag_string",
+        "coherence_band_string", "synchronization_lag_string", "correlation_unknown",
+        "ergm_terms_repeated", "ergm_terms_no_edges", "omega_unknown_key", "omega_rho_range",
+        "omega_phi_negative",
     ],
 )
 def test_pipeline_wrongly_typed_param_is_a_structured_error(
     tmp_path, capsys, patch, code, needle
 ):
-    """A wrongly typed or out-of-range param is a validation problem (exit 2)
-    or a ValueError naming the analysis or estimator (exit 1), never a
-    traceback. patch is either top-level config fields or one analysis to
-    run."""
+    """A wrongly typed or out-of-range param is a validation problem (exit 2,
+    before any output is written) or a ValueError naming the analysis or
+    estimator (exit 1), never a traceback. patch is either top-level config
+    fields or one analysis to run."""
     cfg = json.loads((DATA / "config.json").read_text())
     cfg["manifest"] = str(DATA / "manifest.json")
     cfg.update({"analyses": [patch]} if "type" in patch else patch)
@@ -373,7 +385,7 @@ def test_pipeline_wrongly_typed_param_is_a_structured_error(
     assert got == code and out == ""
     report = json.loads(err)
     if code == 2:
-        assert report["error"] == "validation"
+        assert report["error"] == "validation" and not (tmp_path / "run").exists()
         assert any(needle in p for p in report["problems"])
     else:
         assert report["error"] == "ValueError" and needle in report["message"]
@@ -470,16 +482,19 @@ def test_pipeline_rejects_an_unknown_param(capsys, kind, key):
     assert any(f"unknown parameter {key!r}" in p for p in problems)
 
 
-def test_estimate_unknown_param_exits_1(capsys):
-    code, out, err = run_cli(
-        capsys,
-        "estimate", "--in", DATA / "subject_0.csv",
-        "--measure", "partial_correlation", "--params", '{"bogus": 1}',
-    )
+@pytest.mark.parametrize(
+    "flags, measure, key",
+    [
+        (["--measure", "partial_correlation", "--params", '{"bogus": 1}'], "partial_correlation", "bogus"),
+        (["--band", "0.05,0.2"], "correlation", "band"),
+    ],
+)
+def test_estimate_unknown_param_exits_1(capsys, flags, measure, key):
+    code, out, err = run_cli(capsys, "estimate", "--in", DATA / "subject_0.csv", *flags)
     assert code == 1 and out == ""
     report = json.loads(err)
     assert report["error"] == "ValueError"
-    assert "partial_correlation" in report["message"] and "bogus" in report["message"]
+    assert f"estimator {measure!r} failed" in report["message"] and key in report["message"]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,10 @@ from scipy.special import expit, logit
 
 from fcnets.estimators import ConnectionMatrix
 from fcnets.twopart import (
+    _KINDS,
+    _PARAMS,
     STRUCTURE_KINDS,
+    _OmegaParam,
     CorrelationStructure,
     build_dyad_dataset,
     corr_matrix,
@@ -105,6 +108,29 @@ def test_structure_guards():
         corr_matrix(CorrelationStructure("lear", rho=0.5, delta=1.0), np.ones((3, 3)) - np.eye(3))
     with pytest.raises(ValueError, match="square"):
         corr_matrix(CorrelationStructure("ar1", rho=0.5), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="exponential takes no parameter rho"):
+        CorrelationStructure("exponential", rho=0.5)
+    with pytest.raises(ValueError, match="d_min"):
+        CorrelationStructure("lear", d_min=-1.0)
+    assert CorrelationStructure("lear", d_min=0.0, d_max=2.0).d_max == 2.0
+
+
+@pytest.mark.parametrize(
+    "kind, name", [(kind, name) for kind, spec in _KINDS.items() for name in spec.params]
+)
+def test_structure_param_table(kind, name):
+    # out of range, not a number, or a bool: rejected at construction, naming the param
+    p = _PARAMS[name]
+    bad = [p.low - 1.0, np.nan, "0.5", True, np.bool_(True)]
+    bad += [] if p.closed else [p.low]
+    bad += [p.high] if np.isfinite(p.high) else []
+    for value in bad:
+        with pytest.raises(ValueError, match=name):
+            CorrelationStructure(kind, **{name: value})
+    # an in-range value comes back from the optimizer coordinate it starts at
+    value = p.low + 0.3 * (min(p.high, p.low + 10.0) - p.low)
+    om = _OmegaParam(CorrelationStructure(kind, **{name: value}), DIST3, 3)
+    assert getattr(om.structure_at(om.start), name) == pytest.approx(value, rel=0, abs=1e-12)
 
 
 def test_non_psd_structure_rejected():
