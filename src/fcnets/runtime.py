@@ -64,12 +64,12 @@ def _jsonable(obj):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):  # before int: a bool is an int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

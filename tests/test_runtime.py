@@ -45,6 +45,12 @@ def test_to_json_deterministic_and_sorted():
     assert list(parsed) == ["a", "b"]
 
 
+def test_to_json_writes_booleans():
+    text = to_json({"flags": [True, np.bool_(False)], "n": np.int64(1)})
+    assert json.loads(text) == {"flags": [True, False], "n": 1}
+    assert '"flags": [\n    true,\n    false\n  ]' in text
+
+
 @given(st.integers(min_value=0, max_value=2**31), st.text(max_size=20))
 def test_derive_seed_in_range(seed, label):
     val = derive_seed(seed, label)
