@@ -543,11 +543,8 @@ class _OmegaParam:
         self.distances = np.zeros((size, size)) if distances is None else distances
         self.names = structure.param_names()
         off = self.distances[~np.eye(size, dtype=bool)]
-        values = [getattr(structure, name) for name in self.names]
-        self.start = np.array([
-            _PARAMS[name].start(off) if v is None else _PARAMS[name].to_x(v)
-            for name, v in zip(self.names, values)
-        ])
+        given = [(_PARAMS[name], getattr(structure, name)) for name in self.names]
+        self.start = np.array([p.start(off) if v is None else p.to_x(v) for p, v in given])
 
     def structure_at(self, x):
         kw = {name: float(_PARAMS[name].from_x(xv)) for name, xv in zip(self.names, x)}
@@ -557,7 +554,7 @@ class _OmegaParam:
         return corr_matrix(self.structure_at(x), self.distances)
 
 
-class _FixedParam(NamedTuple):
+class _GammaParam(NamedTuple):
     """Optimizer coordinates of an identity or unstructured Gamma."""
 
     start: np.ndarray
@@ -575,8 +572,8 @@ def _gamma_param(gamma, data):
         tt = np.abs(data.task_times[:, None] - data.task_times[None, :])
         return gamma.kind, _OmegaParam(gamma, tt, T)
     if gamma == "unstructured" and T > 1:
-        return "unstructured", _FixedParam(np.zeros(T * (T - 1) // 2), partial(_hyperspherical_corr, T=T))
-    return "identity", _FixedParam(np.zeros(0), lambda x: np.eye(T))
+        return "unstructured", _GammaParam(np.zeros(T * (T - 1) // 2), partial(_hyperspherical_corr, T=T))
+    return "identity", _GammaParam(np.zeros(0), lambda x: np.eye(T))
 
 
 @dataclass
