@@ -488,6 +488,7 @@ def test_pipeline_rejects_an_unknown_param(capsys, kind, key):
         (["--measure", "partial_correlation", "--params", '{"bogus": 1}'], "partial_correlation", "bogus"),
         (["--band", "0.05,0.2"], "correlation", "band"),
     ],
+    ids=["partial_correlation_bogus", "correlation_band"],
 )
 def test_estimate_unknown_param_exits_1(capsys, flags, measure, key):
     code, out, err = run_cli(capsys, "estimate", "--in", DATA / "subject_0.csv", *flags)
