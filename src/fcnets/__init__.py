@@ -53,7 +53,6 @@ from .metrics import (
     centrality,
     clustering,
     components,
-    degree_sequence,
     density,
     distance_matrix,
     edge_betweenness,

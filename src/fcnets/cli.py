@@ -334,14 +334,10 @@ def main(argv=None):
         return 1
     if result is not None:
         if args.fn is _cmd_pipeline:
-            _emit_pipeline(result)
+            sys.stdout.write(to_json(result))
         else:
             _emit(args, result)
     return 0
-
-
-def _emit_pipeline(result):
-    sys.stdout.write(to_json(result))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,12 @@ from .networks import Network
 from .runtime import derive_seed
 
 
+def _first_appearance_ids(labels):
+    """Contiguous ids 0, 1, ... for labels, numbered in first-appearance order."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
 @dataclass
 class Partition:
     """Node-to-community assignment with contiguous ids and its modularity."""
@@ -28,15 +34,7 @@ class Partition:
     q: float = 0.0
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=int)
-        # relabel to contiguous ids in first-appearance order
-        seen = {}
-        out = np.empty_like(a)
-        for i, c in enumerate(a):
-            if c not in seen:
-                seen[c] = len(seen)
-            out[i] = seen[c]
-        self.assignment = out
+        self.assignment = _first_appearance_ids(np.asarray(self.assignment, dtype=int))
 
     @property
     def community_count(self):
@@ -132,13 +130,9 @@ def louvain(g, seed=0):
         if not improved:
             break
         # relabel and aggregate into a supergraph (self-loops keep within weight)
-        labels = {}
-        for c in comm:
-            if c not in labels:
-                labels[c] = len(labels)
-        comp = np.array([labels[c] for c in comm])
+        comp = _first_appearance_ids(comm)
         node_map = comp[node_map]
-        nc = len(labels)
+        nc = int(comp.max()) + 1
         # aggregate into a supergraph; self-loop weight ends up counted twice,
         # which is what community strength (degree sum) requires
         nbrs2 = [dict() for _ in range(nc)]
@@ -258,34 +252,14 @@ def cartography(g, assignment, hub_z=HUB_Z, nonhub_cuts=NONHUB_P_CUTS, hub_cuts=
         frac = k_im / np.maximum(deg[:, None], 1)
     p = 1.0 - np.sum(frac**2, axis=1)
     p[deg == 0] = 0.0
-    roles = []
-    for i in range(n):
-        if z[i] >= hub_z:
-            if p[i] <= hub_cuts[0]:
-                role = "R5"
-            elif p[i] <= hub_cuts[1]:
-                role = "R6"
-            else:
-                role = "R7"
-        else:
-            if p[i] < nonhub_cuts[0]:
-                role = "R1"
-            elif p[i] <= nonhub_cuts[1]:
-                role = "R2"
-            elif p[i] <= nonhub_cuts[2]:
-                role = "R3"
-            else:
-                role = "R4"
-        roles.append(
-            NodeRole(
-                node=i,
-                within_module_z=float(z[i]),
-                participation=float(p[i]),
-                role=role,
-                degenerate=bool(degen[i]),
-            )
-        )
-    return roles
+    hub = z >= hub_z
+    role = np.select(
+        [hub & (p <= hub_cuts[0]), hub & (p <= hub_cuts[1]), hub,
+         p < nonhub_cuts[0], p <= nonhub_cuts[1], p <= nonhub_cuts[2]],
+        ["R5", "R6", "R7", "R1", "R2", "R3"],
+        "R4",
+    ).tolist()
+    return [NodeRole(i, float(z[i]), float(p[i]), r, bool(degen[i])) for i, r in enumerate(role)]
 
 
 def normalized_mutual_information(a, b):

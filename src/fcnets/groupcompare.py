@@ -18,18 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.special import stdtr
 
 from .estimators import CORRELATION_MEASURES
 from .panels import fisher_z
 from .runtime import rng_for
 from .thresholding import _bh_adjust
-
-
-def _edge_index(n):
-    return np.triu_indices(n, 1)
 
 
 def _edge_panel(group_a, group_b):
@@ -39,7 +35,7 @@ def _edge_panel(group_a, group_b):
         raise ValueError("each group needs at least 2 subjects")
     subjects = list(group_a) + list(group_b)
     n = subjects[0].n
-    iu, ju = _edge_index(n)
+    iu, ju = np.triu_indices(n, 1)
     rows = []
     for cm in subjects:
         if cm.n != n:
@@ -82,11 +78,11 @@ class EdgeTestResult:
     undefined: np.ndarray  # edges with zero pooled variance
 
     def edge_pairs(self):
-        iu, ju = _edge_index(self.n)
+        iu, ju = np.triu_indices(self.n, 1)
         return list(zip(iu.tolist(), ju.tolist()))
 
     def significant_edges(self, alpha=0.05):
-        iu, ju = _edge_index(self.n)
+        iu, ju = np.triu_indices(self.n, 1)
         mask = ~self.undefined & (self.q < alpha)
         return list(zip(iu[mask].tolist(), ju[mask].tolist()))
 
@@ -103,7 +99,7 @@ def edgewise_compare(group_a, group_b, correction="bh-fdr"):
     undefined = ~(denom > 0)
     df = len(group_a) + len(group_b) - 2
     p = np.full(t.size, np.nan)
-    p[~undefined] = 2.0 * stats.t.sf(np.abs(t[~undefined]), df)
+    p[~undefined] = 2.0 * stdtr(df, -np.abs(t[~undefined]))
     if correction == "bonferroni":
         q = np.minimum(p * p.size, 1.0)
     elif correction == "bh-fdr":
@@ -226,7 +222,7 @@ def _cluster_permutation_test(
     if permutations < 100:
         raise ValueError("need at least 100 permutations")
     n, X, observed = _edge_panel(group_a, group_b)
-    iu, ju = _edge_index(n)
+    iu, ju = np.triu_indices(n, 1)
     t_obs = _t_for_labels(X, observed)[0]
     _, edges, labels = clusters(n, iu, ju, _supra_mask(t_obs, t_threshold, alternative))
     found = _cluster_lists(edges, labels, min_edges)

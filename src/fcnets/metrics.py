@@ -398,38 +398,22 @@ def assortativity(g):
     return MetricReport("assortativity", float(value))
 
 
-def degree_sequence(g):
-    """Degrees in node order."""
-    return g.degrees().tolist()
-
-
-METRIC_NAMES = (
-    "density",
-    "mean_degree",
-    "clustering_mean_local",
-    "clustering_transitivity",
-    "clustering_weighted_geometric",
-    "local_efficiency",
-    "global_efficiency",
-    "path_length",
-    "assortativity",
-)
+_METRICS = {
+    "density": density,
+    "mean_degree": lambda g: float(g.degrees().mean()),
+    "clustering_mean_local": lambda g: clustering(g, "mean_local").value,
+    "clustering_transitivity": lambda g: clustering(g, "transitivity").value,
+    "clustering_weighted_geometric": lambda g: clustering(g, "weighted_geometric").value,
+    "local_efficiency": lambda g: local_efficiency(g).value,
+    "global_efficiency": lambda g: global_efficiency(g).value,
+    "path_length": lambda g: path_length(g).value,
+    "assortativity": lambda g: assortativity(g).value,
+}
+METRIC_NAMES = tuple(_METRICS)
 
 
 def metric_value(g, metric):
     """Scalar metric dispatcher used by the bootstrap and the CLI."""
-    if metric == "density":
-        return density(g)
-    if metric == "mean_degree":
-        return float(g.degrees().mean())
-    if metric.startswith("clustering_"):
-        return clustering(g, metric.removeprefix("clustering_")).value
-    if metric == "local_efficiency":
-        return local_efficiency(g).value
-    if metric == "global_efficiency":
-        return global_efficiency(g).value
-    if metric == "path_length":
-        return path_length(g).value
-    if metric == "assortativity":
-        return assortativity(g).value
-    raise ValueError(f"unknown metric {metric!r}; known: {METRIC_NAMES}")
+    if metric not in _METRICS:
+        raise ValueError(f"unknown metric {metric!r}; known: {METRIC_NAMES}")
+    return _METRICS[metric](g)

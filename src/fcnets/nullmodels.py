@@ -94,8 +94,10 @@ def lattice_reference(g):
     """Ring lattice on the same nodes with exactly the same edge count.
 
     Candidate edges are enumerated ordered by (ring offset, node): offset 1
-    edges (i, i+1 mod n) first, then offset 2, and so on; the first |edges|
-    candidates are kept. The result is degree-near-regular (max - min <= 2).
+    edges (i, i+1 mod n) first, then offset 2, and so on, up to the offset
+    the edge count needs. The first |edges| distinct candidates are kept
+    (on an even ring, offset n/2 names each pair twice). The result is
+    degree-near-regular (max - min <= 2).
     """
     n, m = g.n, g.edge_count
     if m < n:
@@ -103,23 +105,15 @@ def lattice_reference(g):
             f"{m} edges cannot close a ring on {n} nodes; returning a partial ring",
             RuntimeWarning,
         )
-    edges = []
-    seen = set()
-    offset = 1
-    while len(edges) < m:
-        if offset > n // 2:
-            raise ValueError(f"cannot place {m} edges on {n} nodes as a ring lattice")
-        for i in range(n):
-            j = (i + offset) % n
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            edges.append(pair)
-            if len(edges) == m:
-                break
-        offset += 1
-    return Network(n, edges, meta={"null": "ring_lattice"})
+    offsets = np.arange(1, min(n // 2, -(-m // n)) + 1)
+    i = np.tile(np.arange(n), offsets.size)
+    j = (i + np.repeat(offsets, n)) % n
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])
+    pairs = np.column_stack((lo[first], hi[first]))
+    if len(pairs) < m:
+        raise ValueError(f"cannot place {m} edges on {n} nodes as a ring lattice")
+    return Network(n, pairs[:m], meta={"null": "ring_lattice"})
 
 
 @dataclass

@@ -66,10 +66,6 @@ class TimeSeriesPanel:
                 raise ValueError(f"coordinates must be (n, 3), got {self.coordinates.shape}")
 
     @property
-    def node_count(self):
-        return self.subjects[0].shape[0]
-
-    @property
     def subject_count(self):
         return len(self.subjects)
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from . import estimators, thresholding
 from .metrics import metric_value
@@ -130,7 +130,7 @@ def metric_error(
         )
     reps = np.array(values)
     se = float(np.std(reps, ddof=1)) if reps.size > 1 else float("nan")
-    z = float(stats.norm.ppf(1 - level / 2))
+    z = float(ndtri(1 - level / 2))
     lo, hi = np.percentile(reps, [100 * level / 2, 100 * (1 - level / 2)])
     return DeltaDistribution(
         metric=metric,

@@ -16,9 +16,9 @@ from __future__ import annotations
 import inspect
 
 import numpy as np
-from scipy import stats
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.special import stdtr
 
 from .estimators import CORRELATION_MEASURES
 from .networks import Network
@@ -49,26 +49,19 @@ def _connecting_weight(ii, jj, w, usable, n):
     """Weight of the last pair in the shortest connected prefix of the
     ranked pairs, or None if no usable prefix connects all n nodes.
 
-    Connectivity only grows with the prefix, so the prefix is found by
-    bisection on its length.
+    Usable pairs form a prefix of the ranking. In a minimum spanning tree of
+    them costed by rank, the largest rank is where the shortest connecting
+    prefix ends; a tree of fewer than n - 1 edges means none connects. Ranks,
+    not weights, are the costs, so a zero weight stays an edge and ties keep
+    their (i, j) order.
     """
     unusable = np.flatnonzero(~usable)
-    k_max = int(unusable[0]) if unusable.size else w.size
-
-    def connected(k):
-        graph = coo_matrix((np.ones(k), (ii[:k], jj[:k])), shape=(n, n))
-        return connected_components(graph, directed=False)[0] == 1
-
-    if k_max == 0 or not connected(k_max):
+    k = int(unusable[0]) if unusable.size else w.size
+    ranks = np.arange(1.0, k + 1)
+    tree = minimum_spanning_tree(coo_matrix((ranks, (ii[:k], jj[:k])), shape=(n, n)))
+    if k == 0 or tree.nnz < n - 1:
         return None
-    lo, hi = n - 1, k_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if connected(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return w[hi - 1]
+    return w[int(tree.data.max()) - 1]
 
 
 def _correlation_pvalues(cm, series_length):
@@ -80,7 +73,7 @@ def _correlation_pvalues(cm, series_length):
         raise ValueError("significance thresholding needs series_length > 3")
     r = np.clip(cm.values, -1 + 1e-15, 1 - 1e-15)
     t = r * np.sqrt((series_length - 2) / (1.0 - r**2))
-    return 2.0 * stats.t.sf(np.abs(t), series_length - 2)
+    return 2.0 * stdtr(series_length - 2, -np.abs(t))
 
 
 def _bh_adjust(p):

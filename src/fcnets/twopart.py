@@ -22,6 +22,7 @@ against the dense form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from numbers import Real
@@ -139,6 +140,12 @@ class CorrelationStructure:
                 )
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{self.kind}: {name} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(float(value))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{self.kind}: {name} must be a finite number")
             if not (value >= p.low if p.closed else value > p.low) or not value < p.high:
                 bounds = f"{'[' if p.closed else '('}{p.low:g}, {p.high:g})"
                 raise ValueError(f"{self.kind}: {name} must lie in {bounds}, got {value!r}")
@@ -259,23 +266,16 @@ def build_dyad_dataset(
                 )
     iu, ju = np.triu_indices(n, 1)
     dyads = list(zip(iu.tolist(), ju.tolist()))
-    d_count = len(dyads)
-    subj_col, task_col, dyad_col, v_col, y_col = [], [], [], [], []
-    for s in range(n_subjects):
-        for t in range(n_tasks):
-            vals = matrices_by_task[t][s].values[iu, ju]
-            vals = np.where(vals < 0, 0.0, vals)
-            subj_col.append(np.full(d_count, s))
-            task_col.append(np.full(d_count, t))
-            dyad_col.append(np.arange(d_count))
-            v_col.append((vals > threshold).astype(float))
-            y_col.append(vals)
+    # subject x task x dyad
+    vals = np.array([[g[s].values[iu, ju] for g in matrices_by_task] for s in range(n_subjects)])
+    vals = np.where(vals < 0, 0.0, vals).reshape(-1)
+    subject, task, dyad = np.indices((n_subjects, n_tasks, len(dyads))).reshape(3, -1)
     data = DyadDataset(
-        subject=np.concatenate(subj_col),
-        task=np.concatenate(task_col),
-        dyad=np.concatenate(dyad_col),
-        v=np.concatenate(v_col),
-        y=np.concatenate(y_col),
+        subject=subject,
+        task=task,
+        dyad=dyad,
+        v=(vals > threshold).astype(float),
+        y=vals,
         dyads=dyads,
         n_subjects=n_subjects,
         n_tasks=n_tasks,
@@ -361,9 +361,10 @@ def _presence_marginal(params, X, y, subj, n_subjects, nodes, weights):
     d = u[None, :] + np.sqrt(2.0) * sigma_star[None, :] * nodes[:, None]  # (Q, S)
     eta = eta0[None, :] + d[:, subj]  # (Q, N)
     row_ll = y[None, :] * eta - np.logaddexp(0.0, eta)
-    g = np.zeros((nodes.size, n_subjects))
-    for q in range(nodes.size):
-        g[q] = np.bincount(subj, weights=row_ll[q], minlength=n_subjects)
+    # one bincount over (node, subject) cells adds each cell's rows in row order
+    cells = np.arange(nodes.size)[:, None] * n_subjects + subj
+    g = np.bincount(cells.ravel(), weights=row_ll.ravel(), minlength=nodes.size * n_subjects)
+    g = g.reshape(nodes.size, n_subjects)
     g += -0.5 * (d / tau) ** 2 - np.log(tau) - 0.5 * np.log(2 * np.pi)
     log_terms = np.log(weights)[:, None] + nodes[:, None] ** 2 + g
     per_subject = logsumexp(log_terms, axis=0) + 0.5 * np.log(2.0) + np.log(sigma_star)
@@ -544,7 +545,7 @@ class _OmegaParam:
         self.names = structure.param_names()
         off = self.distances[~np.eye(size, dtype=bool)]
         given = [(_PARAMS[name], getattr(structure, name)) for name in self.names]
-        self.start = np.array([p.start(off) if v is None else p.to_x(v) for p, v in given])
+        self.start = np.array([p.start(off) if v is None else p.to_x(float(v)) for p, v in given])
 
     def structure_at(self, x):
         kw = {name: float(_PARAMS[name].from_x(xv)) for name, xv in zip(self.names, x)}

@@ -3,9 +3,8 @@
 Each criterion is a single test function, so the verbose test report carries
 one pass/fail line per criterion. Tolerances were pinned from pilot runs
 before the tests were frozen; seeds are fixed so every run checks the same
-arithmetic. Criterion 9's first clause is asserted exactly as stated and
-fails for a structural reason documented on the test; the companion test
-pins the actual behaviour.
+arithmetic. Criterion 9's first clause is asserted exactly as stated; the
+companion test pins the observed behaviour it rests on.
 """
 
 import json

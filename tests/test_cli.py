@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,6 +23,16 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # fcnets takes its t and normal functions from scipy.special; loading all
+    # of scipy.stats would add about half a second to every command
+    code = "import sys, fcnets, fcnets.cli; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(fcnets.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_metrics_on_bundled_path_graph(capsys):
@@ -355,6 +367,7 @@ def twopart_omega(kind="exponential", **omega):
         (twopart_omega(bogus=1), 2, "'bogus'"),
         (twopart_omega("compound_symmetry", rho=1.5), 2, "rho must lie in (0, 1), got 1.5"),
         (twopart_omega(phi=-2), 2, "phi must lie in (0, inf), got -2"),
+        (twopart_omega(phi=10**400), 2, "phi must be a finite number"),
     ],
     ids=[
         "estimator_params", "group_a", "terms", "metrics", "subjects", "subjects_range",
@@ -366,7 +379,7 @@ def twopart_omega(kind="exponential", **omega):
         "workers_list", "out_dir_int", "partial_correlation_unknown", "shrinkage_string",
         "coherence_band_string", "synchronization_lag_string", "correlation_unknown",
         "ergm_terms_repeated", "ergm_terms_no_edges", "omega_unknown_key", "omega_rho_range",
-        "omega_phi_negative",
+        "omega_phi_negative", "omega_phi_huge",
     ],
 )
 def test_pipeline_wrongly_typed_param_is_a_structured_error(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import two_triangles
+from conftest import erdos_renyi, two_triangles
 from fcnets.communities import (
     Partition,
     cartography,
@@ -53,6 +53,15 @@ def test_partition_relabels_contiguous():
     assert list(p.assignment) == [0, 0, 1, 1, 2]
     assert p.community_count == 3
     assert [c.tolist() for c in p.communities()] == [[0, 1], [2, 3], [4]]
+
+
+def test_partition_relabels_in_first_appearance_order():
+    rng = np.random.default_rng(4)
+    for size in [0, 1, 2, 7, 50, 300]:
+        labels = rng.integers(-20, 20, size) * 3
+        ids = {}
+        expected = [ids.setdefault(c, len(ids)) for c in labels.tolist()]
+        assert Partition(labels).assignment.tolist() == expected
 
 
 def test_louvain_barbell():
@@ -136,6 +145,36 @@ def test_cartography_roles():
     assert roles[12].role == "R1"
     assert roles[10].participation == pytest.approx(4 / 9)
     assert roles[10].role == "R2"
+
+
+def _role(z, p, hub_z, nonhub_cuts, hub_cuts):
+    """The documented role rule for one node."""
+    if z >= hub_z:
+        return "R5" if p <= hub_cuts[0] else "R6" if p <= hub_cuts[1] else "R7"
+    if p < nonhub_cuts[0]:
+        return "R1"
+    return "R2" if p <= nonhub_cuts[1] else "R3" if p <= nonhub_cuts[2] else "R4"
+
+
+def test_cartography_cuts_on_participation_values():
+    # hub_z and every cut sit exactly on some node's z or participation, so each
+    # role R1-R7 and each < / <= boundary is decided by an exact tie
+    g = erdos_renyi(40, 6, np.random.default_rng(0))
+    a = np.arange(40) % 4
+    base = cartography(g, a)
+    z = np.array([r.within_module_z for r in base])
+    p = np.array([r.participation for r in base])
+    hub_z = np.unique(z)[len(np.unique(z)) // 2]
+    hub = z >= hub_z
+    nonhub_p, hub_p = np.unique(p[~hub]), np.unique(p[hub])
+    nonhub_cuts, hub_cuts = tuple(nonhub_p[1:4]), tuple(hub_p[:2])
+    roles = cartography(g, a, hub_z=hub_z, nonhub_cuts=nonhub_cuts, hub_cuts=hub_cuts)
+    assert [(r.within_module_z, r.participation) for r in roles] == list(zip(z, p))
+    expected = [_role(zi, pi, hub_z, nonhub_cuts, hub_cuts) for zi, pi in zip(z, p)]
+    assert [r.role for r in roles] == expected
+    assert set(expected) == {f"R{k}" for k in range(1, 8)}
+    on_cut = {r.role for r in roles if r.participation in nonhub_cuts + hub_cuts}
+    assert on_cut == {"R2", "R3", "R5", "R6"}
 
 
 def test_cartography_guards():

@@ -176,6 +176,36 @@ def test_lattice_reference_shape():
     assert lattice_reference(c).edges == c.edges
 
 
+def _ring_candidates(n, m):
+    """First m distinct ring pairs, by (offset, node), enumerated one at a time."""
+    edges, seen, offset = [], set(), 1
+    while len(edges) < m:
+        for i in range(n):
+            j = (i + offset) % n
+            pair = (min(i, j), max(i, j))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            edges.append(pair)
+            if len(edges) == m:
+                break
+        offset += 1
+    return edges
+
+
+def test_lattice_reference_matches_enumeration():
+    # every edge count on every ring up to 40 nodes keeps the same pair set
+    # (the enumeration for m edges is the first m of the full one)
+    for n in range(2, 41):
+        iu, ju = np.triu_indices(n, 1)
+        ref = _ring_candidates(n, iu.size)
+        for m in range(iu.size + 1):
+            g = Network(n, np.column_stack((iu[:m], ju[:m])))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert lattice_reference(g).edges == sorted(ref[:m]), (n, m)
+
+
 def test_lattice_reference_warns_on_sparse():
     g = BinaryNetwork(10, [(0, 1), (2, 3), (4, 5)])
     with pytest.warns(RuntimeWarning, match="partial ring"):

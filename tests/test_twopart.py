@@ -113,15 +113,19 @@ def test_structure_guards():
     with pytest.raises(ValueError, match="d_min"):
         CorrelationStructure("lear", d_min=-1.0)
     assert CorrelationStructure("lear", d_min=0.0, d_max=2.0).d_max == 2.0
+    # an int beyond int64 that a float holds starts the fit like that float
+    om = _OmegaParam(CorrelationStructure("exponential", phi=10**30), DIST3, 3)
+    assert om.start.tolist() == [np.log(1e30)]
 
 
 @pytest.mark.parametrize(
     "kind, name", [(kind, name) for kind, spec in _KINDS.items() for name in spec.params]
 )
 def test_structure_param_table(kind, name):
-    # out of range, not a number, or a bool: rejected at construction, naming the param
+    # out of range, not a number, a bool, or an int too large for a float:
+    # rejected at construction, naming the param
     p = _PARAMS[name]
-    bad = [p.low - 1.0, np.nan, "0.5", True, np.bool_(True)]
+    bad = [p.low - 1.0, np.nan, "0.5", True, np.bool_(True), 10**400]
     bad += [] if p.closed else [p.low]
     bad += [p.high] if np.isfinite(p.high) else []
     for value in bad:
