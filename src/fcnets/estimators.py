@@ -247,20 +247,27 @@ def _delay_vectors(x, embed):
     return x[idx]
 
 
-def _neighbor_indices(vectors, embed):
-    """(B, k) indices: row b holds the k nearest delay vectors of b, in no order.
+def _neighbor_indices(series, embed):
+    """Per node, (B, k) indices: row b holds the k nearest delay vectors of b,
+    in no order.
 
-    Temporal neighbors closer than the embedding window are excluded so
-    trivially-adjacent vectors never count as recurrences.
+    Temporal neighbors closer than the embedding window (b itself included)
+    are excluded so trivially-adjacent vectors never count as recurrences.
+    The (B, B) distance buffers are shared by all nodes: fresh ones would each
+    be a new memory map once B^2 floats outgrow the allocator's threshold.
     """
-    B = vectors.shape[0]
-    k = embed.neighbor_count
-    sq = np.sum(vectors**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (vectors @ vectors.T)
-    offsets = np.abs(np.arange(B)[:, None] - np.arange(B)[None, :])
-    d2[offsets < embed.window()] = np.inf
-    np.fill_diagonal(d2, np.inf)
-    return np.argpartition(d2, k - 1, axis=1)[:, :k]
+    B, k = embed.vector_count(series.shape[1]), embed.neighbor_count
+    excluded = np.abs(np.subtract.outer(np.arange(B), np.arange(B))) < embed.window()
+    d2, gram = np.empty((B, B)), np.empty((B, B))
+    for x in series:
+        vectors = _delay_vectors(x, embed)
+        sq = np.sum(vectors**2, axis=1)
+        np.add.outer(sq, sq, out=d2)
+        np.matmul(vectors, vectors.T, out=gram)
+        gram *= 2.0
+        d2 -= gram
+        d2[excluded] = np.inf
+        yield np.argpartition(d2, k - 1, axis=1)[:, :k]
 
 
 def synchronization_matrix(series, embed=DelayEmbedding()):
@@ -283,10 +290,7 @@ def synchronization_matrix(series, embed=DelayEmbedding()):
     k = embed.neighbor_count
     # row i of the n x B^2 membership marks (b, c) when c is a neighbor of b
     # for node i; one sparse product counts the shared pairs of every two nodes
-    cols = [
-        (np.arange(B)[:, None] * B + _neighbor_indices(_delay_vectors(x, embed), embed)).ravel()
-        for x in series
-    ]
+    cols = [(np.arange(B)[:, None] * B + idx).ravel() for idx in _neighbor_indices(series, embed)]
     member = csr_matrix(
         (np.ones(n * B * k, dtype=np.int64), np.concatenate(cols), np.arange(n + 1) * (B * k)),
         shape=(n, B * B),
