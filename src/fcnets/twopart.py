@@ -111,7 +111,7 @@ class CorrelationStructure:
       linear              phi        (1 - phi d) where phi d <= 1, else 0
       spherical           phi        (1 - 1.5 u + 0.5 u^3), u = d/phi <= 1, else 0
 
-    A set value must be a number (not a bool) in range: rho in (0, 1);
+    A set value must be a finite number (not a bool) in range: rho in (0, 1);
     delta >= 0; nu > 0; phi > 0. lear alone also takes d_min and d_max
     (>= 0; unset, they are the smallest and largest off-diagonal distance).
     Any other kind given a parameter it does not use is an error.
@@ -141,7 +141,7 @@ class CorrelationStructure:
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{self.kind}: {name} must be a number, got {value!r}")
             try:
-                finite = math.isfinite(float(value))
+                finite = math.isfinite(value)
             except OverflowError:
                 finite = False
             if not finite:
