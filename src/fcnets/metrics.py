@@ -4,6 +4,13 @@ Distances on weighted networks use 1/weight as edge length. Efficiency and
 path-length formulas follow the inverse-distance averages over ordered node
 pairs; unreachable pairs contribute zero to efficiencies and are excluded
 (and counted) for the characteristic path length.
+
+Unweighted path length and triangle counts run on packed bitsets (uint64
+words, one bit per node or source): path length as a breadth-first search
+from a block of sources at once, one bit per source (Then et al. 2014), and
+triangles as popcounts of adjacency-row intersections. Both count exact
+integers. Weighted path length, the efficiencies and closeness take scipy's
+shortest-path distances (Dijkstra).
 """
 
 from __future__ import annotations
@@ -47,6 +54,20 @@ def _sparse_adj(g, w):
     return csr_matrix((w[eid], nbr, indptr), shape=(g.n, g.n))
 
 
+# Bounds the uint64 words one bitset gather holds: 2m * words for a
+# breadth-first level over a block of 64 * words sources, and edges * words
+# for a block of triangle row intersections.
+_BITSET_BLOCK = 1 << 20
+
+
+def _bitset(n, rows, bits, width):
+    """(n, ceil(width / 64)) uint64 rows with bit bits[k] set in row rows[k]."""
+    words = -(-width // 64)
+    dense = np.zeros((n, 64 * words), dtype=bool)
+    dense[rows, bits] = True
+    return np.packbits(dense, axis=1, bitorder="little").view(np.uint64)
+
+
 def distance_matrix(g):
     """All-pairs shortest-path distances (hops, or summed 1/weight)."""
     if g.n == 0:
@@ -80,8 +101,8 @@ def clustering(g, variant="mean_local"):
 
     mean_local averages 2 * t_i / (k_i (k_i - 1)) over all nodes, degree < 2
     contributing 0. transitivity is 3 * triangles / connected triples. Both
-    count triangles on the 0/1 adjacency as row sums of (A @ A) * A, one
-    sparse product.
+    count triangles on the 0/1 adjacency with bitset rows: edge (i, j) closes
+    popcount(row_i & row_j) triangles, and t_i is half the sum over i's edges.
     weighted_geometric replaces triangle counts with geometric-mean triangle
     weights (weights rescaled by the maximum), reducing to mean_local when
     all weights are equal.
@@ -91,8 +112,7 @@ def clustering(g, variant="mean_local"):
         return MetricReport(f"clustering_{variant}", 0.0, per_node=np.zeros(n))
     deg = g.degrees().astype(float)
     if variant in ("mean_local", "transitivity"):
-        A = _sparse_adj(g, np.ones(g.edge_count))
-        tri = np.asarray((A @ A).multiply(A).sum(axis=1)).ravel() / 2.0
+        tri = _triangles(g) / 2.0
         if variant == "mean_local":
             denom = deg * (deg - 1)
             per = np.where(denom > 0, 2.0 * tri / np.maximum(denom, 1), 0.0)
@@ -108,6 +128,18 @@ def clustering(g, variant="mean_local"):
         per = np.where(denom > 0, 2.0 * tri_w / np.maximum(denom, 1), 0.0)
         return MetricReport("clustering_weighted_geometric", float(per.mean()), per_node=per)
     raise ValueError(f"unknown clustering variant {variant!r}")
+
+
+def _triangles(g):
+    """Twice each node's triangle count, from popcounts of adjacency-row pairs."""
+    i, j = g.pairs.T
+    rows = _bitset(g.n, np.concatenate((i, j)), np.concatenate((j, i)), g.n)
+    closed = np.zeros(g.edge_count, dtype=np.int64)  # triangles through each edge
+    step = max(1, _BITSET_BLOCK // rows.shape[1])
+    for k in range(0, g.edge_count, step):
+        both = rows[i[k : k + step]] & rows[j[k : k + step]]
+        closed[k : k + step] = np.bitwise_count(both).sum(axis=1)
+    return np.bincount(g.pairs.ravel(), weights=np.repeat(closed, 2), minlength=g.n)
 
 
 _LOCAL_BATCH_NODES = 512  # bounds each block-diagonal distance matrix
@@ -177,17 +209,60 @@ def global_efficiency(g):
     )
 
 
-def path_length(g):
-    """Mean shortest-path length over reachable ordered pairs."""
+def _hop_counts(g):
+    """Ordered node pairs at each hop distance 1, 2, ..., n (a list of n ints).
+
+    A block of b sources searches at once on (n, ceil(b / 64)) bitsets whose
+    row v holds one bit per source: a level ORs the frontier rows of each
+    node's neighbours (one reduceat over the CSR slots), drops the nodes
+    already seen, and counts the new pairs by popcount. Nodes without
+    neighbours are left out of the reduceat, which would give an empty
+    segment its next element.
+    """
     n = g.n
-    D = distance_matrix(g)
-    off = ~np.eye(n, dtype=bool)
-    finite = np.isfinite(D) & off
-    unreachable = int(np.sum(~np.isfinite(D) & off))
-    if not np.any(finite):
+    indptr, nbr, _ = _csr_edges(g)
+    linked = np.flatnonzero(np.diff(indptr))
+    starts = indptr[linked]
+    counts = [0] * n
+    words = max(1, _BITSET_BLOCK // max(1, nbr.size))
+    for first in range(0, n, 64 * words):
+        sources = np.arange(first, min(n, first + 64 * words))
+        front = _bitset(n, sources, sources - first, sources.size)
+        seen = front.copy()
+        for level in range(n):
+            reached = np.bitwise_or.reduceat(front[nbr], starts, axis=0) & ~seen[linked]
+            found = int(np.bitwise_count(reached).sum())
+            if not found:
+                break
+            counts[level] += found
+            front = np.zeros_like(seen)
+            front[linked] = reached
+            seen |= front
+    return counts
+
+
+def path_length(g):
+    """Mean shortest-path length over reachable ordered pairs.
+
+    Unweighted networks count pairs by hop distance with a bit-parallel
+    breadth-first search (`_hop_counts`), so the mean is an exact integer
+    sum over an exact count; weighted ones average scipy's Dijkstra
+    distances with 1/weight lengths. Unreachable ordered pairs are left out
+    and counted.
+    """
+    n = g.n
+    if g.weights is None:
+        counts = _hop_counts(g)
+        reachable = sum(counts)
+        total = sum(level * c for level, c in enumerate(counts, start=1))
+    else:
+        D = distance_matrix(g)
+        finite = D[np.isfinite(D) & ~np.eye(n, dtype=bool)]
+        reachable, total = finite.size, float(finite.sum())
+    if not reachable:
         raise ValueError("path length undefined: no reachable node pairs")
     return MetricReport(
-        "path_length", float(D[finite].mean()), unreachable_pair_count=unreachable
+        "path_length", total / reachable, unreachable_pair_count=n * (n - 1) - reachable
     )
 
 

@@ -318,16 +318,37 @@ def _write_csv(path, header, rows):
             fh.write("\n")
 
 
+def _metric_values(g, names):
+    """{metric: value} for one network; a metric that raises ValueError gets
+    None and its message under "errors"."""
+    values, errors = {}, {}
+    for m in names:
+        try:
+            values[m] = metrics.metric_value(g, m)
+        except ValueError as exc:
+            values[m], errors[m] = None, str(exc)
+    return {**values, "errors": errors} if errors else values
+
+
 def _analysis_metrics(config, params, panel, matrices, networks, seed):
+    """Per-subject metrics; group mean and std over the subjects with a value
+    (null when none has one)."""
     names = params["metrics"]
-    per_subject = [{m: metrics.metric_value(g, m) for m in names} for g in networks]
-    rows = [[s] + [values[m] for m in names] for s, values in enumerate(per_subject)]
+    per_subject = [_metric_values(g, names) for g in networks]
+    rows = [
+        [s] + ["" if values[m] is None else values[m] for m in names]
+        for s, values in enumerate(per_subject)
+    ]
     _write_csv(os.path.join(config.out_dir, "metrics.csv"), ["subject", *names], rows)
+    have = {m: [d[m] for d in per_subject if d[m] is not None] for m in names}
     return {
         "metrics": names,
         "per_subject": per_subject,
-        "group_mean": {m: float(np.mean([d[m] for d in per_subject])) for m in names},
-        "group_std": {m: float(np.std([d[m] for d in per_subject], ddof=1)) if len(per_subject) > 1 else 0.0 for m in names},
+        "group_mean": {m: float(np.mean(v)) if v else None for m, v in have.items()},
+        "group_std": {
+            m: float(np.std(v, ddof=1)) if len(v) > 1 else (0.0 if v else None)
+            for m, v in have.items()
+        },
     }
 
 

@@ -106,7 +106,8 @@ def apply_fixed_threshold(
     "bonferroni" or "bh-fdr".
     criterion "min_connected": the sparsest value cutoff keeping all n nodes
     in one connected component; edges are all entries >= the connecting
-    weight.
+    weight. A single node is connected already: it gets no edge and a
+    connecting weight of None.
     """
     n = cm.n
     vals = _policy_values(cm, negatives)
@@ -144,19 +145,23 @@ def apply_fixed_threshold(
     elif criterion == "min_connected":
         ii, jj, w = _ranked_pairs(vals, n)
         usable = w > 0 if negatives == "drop" else np.ones(w.size, dtype=bool)
-        w_connect = _connecting_weight(ii, jj, w, usable, n)
-        if w_connect is None:
-            raise ValueError(
-                "min_connected impossible: graph cannot be connected under the "
-                f"'{negatives}' negative policy"
-            )
-        mask = vals[iu, ju] >= w_connect
-        if negatives == "drop":
-            mask &= vals[iu, ju] > 0
+        if n == 1:  # one node is connected without an edge
+            w_connect, mask = None, np.zeros(0, dtype=bool)
+        else:
+            w_connect = _connecting_weight(ii, jj, w, usable, n)
+            if w_connect is None:
+                raise ValueError(
+                    "min_connected impossible: graph cannot be connected under the "
+                    f"'{negatives}' negative policy"
+                )
+            w_connect = float(w_connect)
+            mask = vals[iu, ju] >= w_connect
+            if negatives == "drop":
+                mask &= vals[iu, ju] > 0
         meta = {
             "threshold": {
                 "criterion": "min_connected",
-                "connecting_weight": float(w_connect),
+                "connecting_weight": w_connect,
                 "negatives": negatives,
             }
         }

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fcnets
+from conftest import cycle_graph, path_graph
+from fcnets import metrics
 from fcnets.cli import main
-from fcnets.pipeline import ANALYSIS_PARAMS, validate_config
+from fcnets.networks import BinaryNetwork
+from fcnets.pipeline import ANALYSIS_PARAMS, _analysis_metrics, validate_config
 
 DATA = Path(fcnets.__file__).parent / "data"
 
@@ -576,3 +580,59 @@ def test_pipeline_report_contents(tmp_path, capsys):
         assert entry["density"] == pytest.approx(12 / 28)
     community_report = json.loads((out / "community.json").read_text())
     assert len(community_report["result"]["per_subject"]) == 6
+
+
+def test_pipeline_metric_error_is_recorded_per_subject(tmp_path):
+    names = ["density", "path_length", "assortativity"]
+    # edgeless: no reachable pair, no edge; cycle: every endpoint of degree 2
+    networks = [path_graph(4), BinaryNetwork(4, []), cycle_graph(4)]
+    config = SimpleNamespace(out_dir=str(tmp_path))
+    result = _analysis_metrics(config, {"metrics": names}, None, None, networks, 0)
+    good = {m: metrics.metric_value(networks[0], m) for m in names}
+    cycle_length = metrics.path_length(networks[2]).value
+    assert result["per_subject"] == [
+        good,
+        {
+            "density": 0.0,
+            "path_length": None,
+            "assortativity": None,
+            "errors": {
+                "path_length": "path length undefined: no reachable node pairs",
+                "assortativity": "assortativity undefined: no edges",
+            },
+        },
+        {
+            "density": 4 / 6,
+            "path_length": cycle_length,
+            "assortativity": None,
+            "errors": {"assortativity": "assortativity undefined: all edge endpoints have equal degree"},
+        },
+    ]
+    lengths = [good["path_length"], cycle_length]
+    assert result["group_mean"] == {
+        "density": float(np.mean([good["density"], 0.0, 4 / 6])),
+        "path_length": float(np.mean(lengths)),
+        "assortativity": good["assortativity"],
+    }
+    assert result["group_std"]["path_length"] == float(np.std(lengths, ddof=1))
+    assert result["group_std"]["assortativity"] == 0.0
+    rows = (tmp_path / "metrics.csv").read_text().splitlines()
+    assert rows[0] == "subject,density,path_length,assortativity"
+    assert rows[2] == "1,0,,"
+    assert rows[3] == f"2,{4 / 6:.12g},{cycle_length:.12g},"
+
+
+def test_pipeline_with_no_value_for_a_metric_reports_null(tmp_path, capsys):
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    cfg["threshold"] = {"method": "fixed_threshold", "criterion": "value", "tau": 2.0}
+    cfg["analyses"] = [{"type": "metrics", "params": {"metrics": ["density", "path_length"]}}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "pipeline", "--config", path, "--out", out)
+    assert code == 0
+    result = json.loads((out / "metrics.json").read_text())["result"]
+    assert all(entry["path_length"] is None for entry in result["per_subject"])
+    assert result["group_mean"] == {"density": 0.0, "path_length": None}
+    assert result["group_std"] == {"density": 0.0, "path_length": None}

@@ -1,0 +1,117 @@
+"""Unweighted path length and triangle counts against exact references.
+
+Unweighted path length counts pairs by hop distance with a bit-parallel
+breadth-first search over blocks of sources. Its value and unreachable-pair
+count are checked for exact equality with a reference built on the
+all-pairs distance matrix, and against networkx shortest-path lengths, on
+random graphs (with isolated nodes and several components), on sizes around
+the 64-bit word boundary, on a ring lattice with many levels, and across a
+source-block boundary. Per-node triangle counts are checked against
+networkx.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import ring_lattice
+from fcnets import metrics
+from fcnets.metrics import distance_matrix, path_length
+from fcnets.networks import BinaryNetwork, Network
+
+nx = pytest.importorskip("networkx")
+
+
+def reference_path_length(g):
+    """(value, unreachable ordered pairs) from the all-pairs distance matrix."""
+    n = g.n
+    D = distance_matrix(g)
+    off = ~np.eye(n, dtype=bool)
+    finite = np.isfinite(D) & off
+    return float(D[finite].mean()), int(np.sum(~np.isfinite(D) & off))
+
+
+def as_network(G):
+    G = nx.convert_node_labels_to_integers(G, ordering="sorted")
+    return BinaryNetwork(G.number_of_nodes(), list(G.edges())), G
+
+
+def assert_exact(g, G):
+    report = path_length(g)
+    assert (report.value, report.unreachable_pair_count) == reference_path_length(g)
+    lengths = [d for _, row in nx.all_pairs_shortest_path_length(G) for d in row.values() if d]
+    assert report.value == sum(lengths) / len(lengths)
+    assert report.unreachable_pair_count == g.n * (g.n - 1) - len(lengths)
+    triangles = nx.triangles(G)
+    assert (metrics._triangles(g) / 2).tolist() == [triangles[v] for v in range(g.n)]
+
+
+def random_gnp(seed):
+    """G(n, p) on 10-140 nodes; sparse draws leave isolated nodes and several components."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 141))
+    p = float(rng.uniform(0.5, 4.0)) / n
+    return nx.gnp_random_graph(n, p, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_graphs(seed):
+    assert_exact(*as_network(random_gnp(seed)))
+
+
+def test_random_sweep_covers_isolated_nodes_and_several_components():
+    graphs = [random_gnp(seed) for seed in range(40)]
+    isolated = [sum(d == 0 for _, d in G.degree()) for G in graphs]
+    assert sum(k > 0 for k in isolated) >= 10
+    # at least two components with an edge
+    assert sum(nx.number_connected_components(G) - k >= 2 for G, k in zip(graphs, isolated)) >= 10
+    assert sum(G.number_of_nodes() > 64 for G in graphs) >= 10
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+@pytest.mark.parametrize("family", ["path", "gnp", "complete"])
+def test_sizes_around_a_word(n, family):
+    if family == "path":
+        G = nx.path_graph(n)
+    elif family == "gnp":
+        G = nx.gnp_random_graph(n, 3.0 / n, seed=n)
+    else:
+        G = nx.complete_graph(n)
+    assert_exact(*as_network(G))
+
+
+def test_ring_lattice_with_many_levels():
+    g = ring_lattice(300, 4)  # 75 levels from every source
+    assert_exact(g, nx.Graph([tuple(e) for e in g.pairs.tolist()]))
+
+
+def test_blocked_sources_match_one_block(monkeypatch):
+    g, G = as_network(nx.watts_strogatz_graph(150, 4, 0.2, seed=3))
+    G.add_nodes_from(range(150, 160))  # isolated nodes in the last block
+    g = BinaryNetwork(160, g.pairs)
+    whole = path_length(g)
+    # blocks of 64, 64, 32 and of 128, 32 sources; the triangle counts in
+    # assert_exact then run in blocks of 200 and of 400 of the 300 edges
+    for words in (1, 2):
+        monkeypatch.setattr(metrics, "_BITSET_BLOCK", words * 2 * g.edge_count)
+        blocked = path_length(g)
+        assert (blocked.value, blocked.unreachable_pair_count) == (
+            whole.value,
+            whole.unreachable_pair_count,
+        )
+        assert_exact(g, G)
+
+
+def test_weighted_networks_keep_dijkstra():
+    rng = np.random.default_rng(4)
+    g, _ = as_network(nx.gnp_random_graph(40, 0.08, seed=4))
+    g = Network(g.n, g.pairs, weights=rng.uniform(0.1, 2.0, g.edge_count))
+    report = path_length(g)
+    assert (report.value, report.unreachable_pair_count) == reference_path_length(g)
+
+
+@pytest.mark.parametrize(
+    "g", [BinaryNetwork(0, []), BinaryNetwork(1, []), BinaryNetwork(6, [])], ids=["n0", "n1", "edgeless"]
+)
+def test_no_reachable_pair_raises(g):
+    with pytest.raises(ValueError, match="path length undefined: no reachable node pairs"):
+        path_length(g)

@@ -126,6 +126,17 @@ def test_min_connected_is_the_largest_connecting_cutoff(negatives):
         assert net.edges == [(i, j) for i, j, k in zip(iu.tolist(), ju.tolist(), keep) if k]
 
 
+@pytest.mark.parametrize("negatives", ["drop", "absolute"])
+def test_min_connected_single_node_is_connected(negatives):
+    net = apply_fixed_threshold(cm_from([[0.0]]), "min_connected", negatives=negatives)
+    assert (net.n, net.edges) == (1, [])
+    assert net.meta["threshold"] == {
+        "criterion": "min_connected",
+        "connecting_weight": None,
+        "negatives": negatives,
+    }
+
+
 def test_min_connected_impossible():
     vals = np.array(
         [
