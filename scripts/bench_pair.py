@@ -15,10 +15,14 @@ prints both sides' medians and quartiles, the number of seeds on which the
 change was better (ties count for neither side), a bound verdict and
 whether the difference counts as a gain: better on at least nine tenths
 of the seeds, and medians apart by more than the parent's interquartile
-range. The bound verdict is ``unresolved`` when the parent's
-interquartile range is wider than the bound and not every change run is
-better than every parent run; otherwise ``ok`` when the change's median
-stays within the bound of the parent's, and ``WORSE`` when it does not.
+range. The bound verdict rests on the paired differences, one per seed:
+(change - parent) / parent, signed so that positive is worse. Each seed
+runs its own inputs, so a metric that the inputs fix (peak memory, say)
+spreads across seeds but hardly within a pair. The verdict is
+``unresolved`` when the interquartile range of the paired differences is
+wider than the bound and the change is not better on every seed;
+otherwise ``ok`` when their median stays within the bound, and ``WORSE``
+when it does not. The median paired difference is printed as ``diff``.
 
 Exits 1 if any run exits with an error, is not ``correct`` or has a failed
 operation.
@@ -65,15 +69,16 @@ def summarize(parent, change, metrics):
         won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         p_q1, p_med, p_q3 = quartiles(p)
         c_q1, c_med, c_q3 = quartiles(c)
-        all_beat = all(sign * (a - b) > 0 for a in p for b in c)
-        if p_q3 - p_q1 > bound * abs(p_med) and not all_beat:
+        worse = [sign * (b - a) / abs(a) for a, b in zip(p, c)]
+        w_q1, w_med, w_q3 = quartiles(worse)
+        if w_q3 - w_q1 > bound and won < len(p):
             verdict = "unresolved"
-        elif sign * (c_med - p_med) <= bound * abs(p_med):
+        elif w_med <= bound:
             verdict = "ok"
         else:
             verdict = "WORSE"
         gain = won >= 0.9 * len(p) and sign * (p_med - c_med) > p_q3 - p_q1
-        rows.append((name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, len(p), verdict, gain))
+        rows.append((name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, len(p), w_med, verdict, gain))
     return rows
 
 
@@ -111,14 +116,14 @@ def main():
             if not r["correct"] or r["failed"]:
                 bad.append(f"seed {seed} {side}: correct={r['correct']}, failed={r['failed']}")
 
-    fmt = "{:28} {:>10} {:>22} {:>10} {:>22} {:>7} {:>10} {:>5}"
-    print(fmt.format("metric", "parent", "[q1, q3]", "change", "[q1, q3]", "won", "bound", "gain"))
-    for name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, pairs, verdict, gain in summarize(
+    fmt = "{:28} {:>10} {:>22} {:>10} {:>22} {:>7} {:>8} {:>10} {:>5}"
+    print(fmt.format("metric", "parent", "[q1, q3]", "change", "[q1, q3]", "won", "diff", "bound", "gain"))
+    for name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, pairs, diff, verdict, gain in summarize(
         results["parent"], results["change"], metrics
     ):
         print(fmt.format(
             name, f"{p_med:.4g}", f"[{p_q1:.4g}, {p_q3:.4g}]", f"{c_med:.4g}", f"[{c_q1:.4g}, {c_q3:.4g}]",
-            f"{won}/{pairs}", verdict, "yes" if gain else "no",
+            f"{won}/{pairs}", f"{diff:+.1%}", verdict, "yes" if gain else "no",
         ))
     if bad:
         print("runs that were not correct or had failed operations:\n  " + "\n  ".join(bad))

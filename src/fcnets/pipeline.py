@@ -330,7 +330,7 @@ def _metric_values(g, names):
     return {**values, "errors": errors} if errors else values
 
 
-def _analysis_metrics(config, params, panel, matrices, networks, seed):
+def _analysis_metrics(config, params, panel, matrices, networks, seed, suffix=""):
     """Per-subject metrics; group mean and std over the subjects with a value
     (null when none has one)."""
     names = params["metrics"]
@@ -339,7 +339,7 @@ def _analysis_metrics(config, params, panel, matrices, networks, seed):
         [s] + ["" if values[m] is None else values[m] for m in names]
         for s, values in enumerate(per_subject)
     ]
-    _write_csv(os.path.join(config.out_dir, "metrics.csv"), ["subject", *names], rows)
+    _write_csv(os.path.join(config.out_dir, f"metrics{suffix}.csv"), ["subject", *names], rows)
     have = {m: [d[m] for d in per_subject if d[m] is not None] for m in names}
     return {
         "metrics": names,
@@ -352,7 +352,7 @@ def _analysis_metrics(config, params, panel, matrices, networks, seed):
     }
 
 
-def _analysis_smallworld(config, params, panel, matrices, networks, seed):
+def _analysis_smallworld(config, params, panel, matrices, networks, seed, suffix=""):
     out = []
     for s in params["subjects"]:
         res = nullmodels.small_world(
@@ -367,7 +367,7 @@ def _analysis_smallworld(config, params, panel, matrices, networks, seed):
     return {"per_subject": out}
 
 
-def _analysis_community(config, params, panel, matrices, networks, seed):
+def _analysis_community(config, params, panel, matrices, networks, seed, suffix=""):
     out = []
     for s, g in enumerate(networks):
         part = communities.louvain(g, seed=derive_seed(seed, "subject", s))
@@ -378,14 +378,14 @@ def _analysis_community(config, params, panel, matrices, networks, seed):
     return {"per_subject": out}
 
 
-def _analysis_compare(config, params, panel, matrices, networks, seed):
+def _analysis_compare(config, params, panel, matrices, networks, seed, suffix=""):
     method = params["method"]
     group_a = [matrices[s] for s in params["group_a"]]
     group_b = [matrices[s] for s in params["group_b"]]
     if method == "edgewise":
         res = groupcompare.edgewise_compare(group_a, group_b, correction=params["correction"])
         rows = [[i, j, t, p, q] for (i, j), t, p, q in zip(res.edge_pairs(), res.t, res.p, res.q)]
-        _write_csv(os.path.join(config.out_dir, "edgewise.csv"), ["i", "j", "t", "p", "q"], rows)
+        _write_csv(os.path.join(config.out_dir, f"edgewise{suffix}.csv"), ["i", "j", "t", "p", "q"], rows)
         return res
     test = {
         "t_threshold": params["t_threshold"],
@@ -399,7 +399,7 @@ def _analysis_compare(config, params, panel, matrices, networks, seed):
     return groupcompare.spc(group_a, group_b, node_adjacency=adjacency, **test)
 
 
-def _analysis_ergm(config, params, panel, matrices, networks, seed):
+def _analysis_ergm(config, params, panel, matrices, networks, seed, suffix=""):
     terms = params["terms"]
     binaries = [g.binary() for g in networks]
     fits = []
@@ -424,7 +424,7 @@ def _analysis_ergm(config, params, panel, matrices, networks, seed):
     }
 
 
-def _analysis_twopart(config, params, panel, matrices, networks, seed):
+def _analysis_twopart(config, params, panel, matrices, networks, seed, suffix=""):
     data = twopart.build_dyad_dataset(
         [matrices],
         coordinates=panel.coordinates,
@@ -451,7 +451,7 @@ def _analysis_twopart(config, params, panel, matrices, networks, seed):
     }
 
 
-def _analysis_bootstrap(config, params, panel, matrices, networks, seed):
+def _analysis_bootstrap(config, params, panel, matrices, networks, seed, suffix=""):
     subject = params["subject"]
     return resampling.metric_error(
         panel.subjects[subject],
@@ -496,11 +496,12 @@ def run_pipeline(config):
     written, counts, stage_seeds = {}, {}, {}
     for kind, given, params in config.analyses:
         counts[kind] = counts.get(kind, 0) + 1
-        label = kind if counts[kind] == 1 else f"{kind}_{counts[kind]}"
+        suffix = "" if counts[kind] == 1 else f"_{counts[kind]}"
+        label = kind + suffix
         seed = derive_seed(config.seed, "analysis", label)
         stage_seeds[label] = seed
         try:
-            result = _ANALYSIS_FUNCTIONS[kind](config, params, panel, matrices, networks, seed)
+            result = _ANALYSIS_FUNCTIONS[kind](config, params, panel, matrices, networks, seed, suffix)
         except TypeError as exc:
             raise ValueError(f"analysis {label!r} failed: {exc}") from exc
         report = {

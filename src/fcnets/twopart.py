@@ -7,12 +7,17 @@ models Fisher-transformed strengths of present connections with a linear
 mixed model: subject random intercept, a structured correlation over dyads
 (distance-based kinds evaluated on Euclidean distances between dyad
 midpoints), and, with several tasks, a task correlation crossed with the
-dyad correlation. Each evaluation of the strength likelihood builds every
-subject's dense covariance over its present rows and Cholesky-factors it
-once; that factor gives both the GLS coefficients and the log-likelihood.
-Each correlation kind is stated once, in `_KINDS` (its parameters and its
-kernel over distances), and each parameter once, in `_PARAMS` (its range,
-its optimizer transform and its start value when unset).
+dyad correlation. Every subject block is padded with identity rows to the
+largest block size once per fit, so each evaluation of the strength
+likelihood gathers all block covariances with one `take`, factors the
+stack with one batched Cholesky and solves for [X y] in one call; those
+factors give the GLS coefficients, the log-likelihood and its exact
+gradient (with the GLS coefficients profiled out). L-BFGS-B maximizes it
+within box bounds, with Nelder-Mead as the fallback when it fails.
+Each correlation kind is stated once, in `_KINDS` (its parameters, its
+kernel over distances and that kernel's derivatives), and each parameter
+once, in `_PARAMS` (its range, its optimizer transform with that
+transform's derivative, and its start value when unset).
 
 `kronecker_loglik` evaluates complete task-by-dyad grids in factored form,
 without the dense matrix. Nothing in the package calls it: it stays public
@@ -37,13 +42,40 @@ from scipy.special import expit, logsumexp
 from .estimators import CORRELATION_MEASURES
 
 
-def _lear(s, d):
+def _lear_span(s, d):
+    """(d_min, d - d_min, d_max - d_min) of a lear structure over distances d."""
     off = d[~np.eye(d.shape[0], dtype=bool)]
     d_min = s.d_min if s.d_min is not None else float(off.min())
     d_max = s.d_max if s.d_max is not None else float(off.max())
     if d_max <= d_min:
         raise ValueError(f"lear needs d_max > d_min, got d_min={d_min} d_max={d_max}")
-    return s.rho ** (d_min + s.delta * (d - d_min) / (d_max - d_min))
+    return d_min, d - d_min, d_max - d_min
+
+
+def _lear(s, d):
+    d_min, above, span = _lear_span(s, d)
+    with np.errstate(over="ignore"):  # on the diagonal, set to 1 later, when delta is large
+        return s.rho ** (d_min + s.delta * above / span)
+
+
+def _lear_grad(s, d):
+    d_min, above, span = _lear_span(s, d)
+    e = d_min + s.delta * above / span
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _lear
+        c = s.rho**e
+        return e * c / s.rho, c * np.log(s.rho) * above / span
+
+
+def _damped_exponential(s, d):
+    with np.errstate(over="ignore"):  # d**nu = inf for d > 1 and a large nu; rho**inf = 0 is its limit
+        return s.rho ** (d**s.nu)
+
+
+def _damped_exponential_grad(s, d):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dn = d**s.nu
+        c = s.rho**dn
+        return dn * c / s.rho, np.where(d > 0, c * np.log(s.rho) * dn * np.log(d), 0.0)
 
 
 def _spherical(s, d):
@@ -51,23 +83,42 @@ def _spherical(s, d):
     return np.where(u <= 1.0, 1.0 - 1.5 * u + 0.5 * u**3, 0.0)
 
 
+def _spherical_grad(s, d):
+    u = d / s.phi
+    return (np.where(u <= 1.0, 1.5 * u * (1.0 - u**2) / s.phi, 0.0),)
+
+
 class _Kind(NamedTuple):
     params: tuple  # fitted parameters, in optimizer order
     kernel: object  # (structure, distances) -> correlations, diagonal not yet set; None: identity
+    grad: object  # (structure, distances) -> kernel derivative per fitted parameter
     distances: bool = True  # False: the kernel ignores distances
     fixed: tuple = ()  # parameters that are used as given and never fitted
 
 
 _KINDS = {
-    "identity": _Kind((), None, distances=False),
-    "compound_symmetry": _Kind(("rho",), lambda s, d: np.full(d.shape, s.rho), distances=False),
-    "ar1": _Kind(("rho",), lambda s, d: s.rho**d),
-    "lear": _Kind(("rho", "delta"), _lear, fixed=("d_min", "d_max")),
-    "damped_exponential": _Kind(("rho", "nu"), lambda s, d: s.rho ** (d**s.nu)),
-    "exponential": _Kind(("phi",), lambda s, d: np.exp(-d / s.phi)),
-    "gaussian": _Kind(("phi",), lambda s, d: np.exp(-((d / s.phi) ** 2))),
-    "linear": _Kind(("phi",), lambda s, d: np.where(s.phi * d <= 1.0, 1.0 - s.phi * d, 0.0)),
-    "spherical": _Kind(("phi",), _spherical),
+    "identity": _Kind((), None, None, distances=False),
+    "compound_symmetry": _Kind(
+        ("rho",), lambda s, d: np.full(d.shape, s.rho), lambda s, d: (np.ones(d.shape),),
+        distances=False,
+    ),
+    "ar1": _Kind(("rho",), lambda s, d: s.rho**d, lambda s, d: (d * s.rho**d / s.rho,)),
+    "lear": _Kind(("rho", "delta"), _lear, _lear_grad, fixed=("d_min", "d_max")),
+    "damped_exponential": _Kind(("rho", "nu"), _damped_exponential, _damped_exponential_grad),
+    "exponential": _Kind(
+        ("phi",), lambda s, d: np.exp(-d / s.phi), lambda s, d: (np.exp(-d / s.phi) * d / s.phi**2,)
+    ),
+    "gaussian": _Kind(
+        ("phi",),
+        lambda s, d: np.exp(-((d / s.phi) ** 2)),
+        lambda s, d: (np.exp(-((d / s.phi) ** 2)) * 2 * d**2 / s.phi**3,),
+    ),
+    "linear": _Kind(
+        ("phi",),
+        lambda s, d: np.where(s.phi * d <= 1.0, 1.0 - s.phi * d, 0.0),
+        lambda s, d: (np.where(s.phi * d <= 1.0, -d, 0.0),),
+    ),
+    "spherical": _Kind(("phi",), _spherical, _spherical_grad),
 }
 STRUCTURE_KINDS = tuple(_KINDS)
 DISTANCE_FREE_KINDS = tuple(kind for kind, spec in _KINDS.items() if not spec.distances)
@@ -83,14 +134,19 @@ class _Param(NamedTuple):
     closed: bool = False
     to_x: object = None  # value -> optimizer coordinate
     from_x: object = None  # optimizer coordinate -> value
+    dfrom_x: object = None  # optimizer coordinate -> derivative of from_x
     start: object = None  # off-diagonal distances -> coordinate when unset
 
 
+def _dexpit(x):
+    return expit(x) * expit(-x)
+
+
 _PARAMS = {
-    "rho": _Param(0.0, 1.0, False, lambda v: np.log(v / (1 - v)), expit, lambda off: 0.0),
-    "delta": _Param(0.0, np.inf, True, lambda v: np.log(max(v, 1e-6)), np.exp, lambda off: 0.0),
-    "nu": _Param(0.0, np.inf, False, np.log, np.exp, lambda off: np.log(0.5)),
-    "phi": _Param(0.0, np.inf, False, np.log, np.exp, _log_median),
+    "rho": _Param(0.0, 1.0, False, lambda v: np.log(v / (1 - v)), expit, _dexpit, lambda off: 0.0),
+    "delta": _Param(0.0, np.inf, True, lambda v: np.log(max(v, 1e-6)), np.exp, np.exp, lambda off: 0.0),
+    "nu": _Param(0.0, np.inf, False, np.log, np.exp, np.exp, lambda off: np.log(0.5)),
+    "phi": _Param(0.0, np.inf, False, np.log, np.exp, np.exp, _log_median),
     "d_min": _Param(0.0, np.inf, True),
     "d_max": _Param(0.0, np.inf, True),
 }
@@ -304,10 +360,15 @@ def build_dyad_dataset(
     return data
 
 
+_SENTINEL = 1e10  # objective value outside the optimizer's box or where the likelihood fails
+
+
 def _fd_hessian(f, x, h):
-    """Central-difference Hessian of f at x with per-coordinate steps h."""
+    """Central-difference Hessian of f at x with per-coordinate steps h, and
+    which of its entries had a stencil point where f met the sentinel."""
     p = x.size
     H = np.zeros((p, p))
+    hit = np.zeros((p, p), dtype=bool)
     for a in range(p):
         for b in range(a, p):
             ea = np.zeros(p); ea[a] = h[a]
@@ -317,23 +378,41 @@ def _fd_hessian(f, x, h):
             f_mp = f(x - ea + eb)
             f_mm = f(x - ea - eb)
             H[a, b] = H[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4 * h[a] * h[b])
-    return H
+            hit[a, b] = hit[b, a] = max(f_pp, f_pm, f_mp, f_mm) >= _SENTINEL
+    return H, hit
+
+
+def _standard_errors(objective, x, step):
+    """Each coordinate's standard error from the inverse central-difference
+    Hessian at x (steps step * (1 + |x|)).
+
+    A coordinate whose stencil meets the sentinel - one at or next to the
+    box the objective allows - gets NaN, and the others come from the
+    Hessian over the coordinates left. Also NaN where a variance is not
+    positive or that Hessian is singular.
+    """
+    H, hit = _fd_hessian(objective, x, step * (1.0 + np.abs(x)))
+    bad = np.diag(hit).copy()
+    bad |= np.any(hit & ~bad[:, None] & ~bad[None, :], axis=1)
+    se = np.full(x.size, np.nan)
+    keep = np.flatnonzero(~bad)
+    if keep.size:
+        try:
+            var = np.diag(np.linalg.inv(H[np.ix_(keep, keep)]))
+        except np.linalg.LinAlgError:
+            return se
+        se[keep] = np.sqrt(np.where(var > 0, var, np.nan))
+    return se
 
 
 def _minimize(objective, start, maxfev, step):
-    """Nelder-Mead from start, then each coordinate's standard error from the
-    inverse central-difference Hessian at the optimum (steps step * (1 + |x|));
-    NaN where that variance is not positive or the Hessian is singular."""
+    """Nelder-Mead from start, then standard errors at the optimum
+    (`_standard_errors`)."""
     res = optimize.minimize(
         objective, start, method="Nelder-Mead",
         options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-9},
     )
-    H = _fd_hessian(objective, res.x, step * (1.0 + np.abs(res.x)))
-    try:
-        var = np.diag(np.linalg.inv(H))
-    except np.linalg.LinAlgError:
-        var = np.full(res.x.size, np.nan)
-    return res, np.sqrt(np.where(var > 0, var, np.nan))
+    return res, _standard_errors(objective, res.x, step)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +484,7 @@ def _fit_presence(data, names, quad_points, maxfev):
 
     def objective(params):
         if abs(params[-1]) > 12 or np.max(np.abs(params[:-1])) > 40:
-            return 1e10
+            return _SENTINEL
         return -_presence_marginal(params, X, y, subj, data.n_subjects, nodes, weights)
 
     res, se = _minimize(objective, start, maxfev, 1e-4)
@@ -460,10 +539,16 @@ def kronecker_loglik(residuals, gamma, omega, sigma_task, tau2):
 
 
 class _StrengthDesign:
-    """Present rows, with one block per subject in (task, dyad) order.
+    """Present rows, one block per subject in (task, dyad) order, every block
+    padded to the largest block size.
 
-    Each block holds its row indices, its X and y rows, and the np.ix_ grids
-    that pick its task-by-task and dyad-by-dyad covariance entries.
+    `xy` (blocks, size, p + 1) stacks each block's [X y] rows, zero on pad
+    rows. `cov_index` (blocks, size, size) holds flat indices into the
+    raveled (task, dyad) covariance kron(S Gamma S, Omega) + tau2, whose
+    row (t, d) is t * n_dyads + d, followed by two pad slots: 0 for every pad
+    entry off the diagonal and 1 on it. Pad rows and columns are then those
+    of the identity, which add nothing to the log-determinant or the
+    quadratic form.
     """
 
     def __init__(self, data, names):
@@ -475,46 +560,64 @@ class _StrengthDesign:
         self.n_tasks = data.n_tasks
         self.n_dyads = len(data.dyads)
         subject, task, dyad = data.subject[mask], data.task[mask], data.dyad[mask]
-        self.blocks = []
-        for s in np.unique(subject):
-            idx = np.where(subject == s)[0]
-            idx = idx[np.lexsort((dyad[idx], task[idx]))]
-            t, d = task[idx], dyad[idx]
-            self.blocks.append(
-                (idx, self.X[idx], self.y[idx], np.ix_(t, t), np.ix_(d, d))
-            )
+        order = np.lexsort((dyad, task, subject))
+        _, block, sizes = np.unique(subject[order], return_inverse=True, return_counts=True)
+        pos = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        shape = (sizes.size, int(sizes.max()))
+        self.xy = np.zeros(shape + (self.X.shape[1] + 1,))
+        self.xy[block, pos] = np.column_stack([self.X, self.y])[order]
+        k = self.n_tasks * self.n_dyads
+        key = np.full(shape, -1)
+        key[block, pos] = (task * self.n_dyads + dyad)[order]
+        real = key >= 0
+        index = np.where(
+            real[:, :, None] & real[:, None, :], key[:, :, None] * k + key[:, None, :], k * k
+        )
+        pad_block, pad_pos = np.nonzero(~real)
+        index[pad_block, pad_pos, pad_pos] = k * k + 1
+        self.cov_index = index
 
 
-def _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2):
-    """Log-likelihood, GLS coefficients and X' V^-1 X of the strength part.
+def _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2, grad=False):
+    """Log-likelihood, GLS coefficients and X' V^-1 X of the strength part,
+    and with grad the log-likelihood's derivative with respect to each entry
+    of the (task, dyad) covariance, shaped (T, D, T, D); else None.
 
     Subject block covariance: tau2 + (S Gamma S)[t, t'] * Omega[d, d'] with
-    S = diag(sigma_task), factored once for the GLS step and the likelihood.
+    S = diag(sigma_task). One Cholesky factorization of the padded stack of
+    block covariances gives W = L^-1 [X y]; the GLS step, the quadratic form
+    and, with diag(L), the log-determinant all come from W. beta is profiled
+    out, so an entry's derivative is -1/2 the sum of (V^-1 - a a')[i, j] over
+    the block entries (i, j) that take it, with a = V^-1 r.
     """
-    gp = gamma_m * np.outer(sigma_task, sigma_task)
-    p = design.X.shape[1]
-    xtx = np.zeros((p, p))
-    xty = np.zeros(p)
-    factors = []
-    for _, Xs, ys, tasks, dyads in design.blocks:
-        c = cho_factor(gp[tasks] * omega_m[dyads] + tau2, lower=True)
-        ci_x = cho_solve(c, Xs)
-        xtx += Xs.T @ ci_x
-        xty += ci_x.T @ ys
-        factors.append(c)
-    beta = np.linalg.solve(xtx, xty)
-    resid = design.y - design.X @ beta
-    total = 0.0
-    for (idx, *_), c in zip(design.blocks, factors):
-        r = resid[idx]
-        logdet = 2 * np.sum(np.log(np.diag(c[0])))
-        quad = float(r @ cho_solve(c, r))
-        total += -0.5 * (r.size * np.log(2 * np.pi) + logdet + quad)
-    return total, beta, xtx
+    k = design.n_tasks * design.n_dyads
+    full = np.kron(gamma_m * np.outer(sigma_task, sigma_task), omega_m) + tau2
+    V = np.take(np.concatenate([full.ravel(), [0.0, 1.0]]), design.cov_index)
+    L = np.linalg.cholesky(V)
+    if grad:
+        L_inv = np.linalg.inv(L)
+        W = L_inv @ design.xy
+    else:
+        W = np.linalg.solve(L, design.xy)
+    p = W.shape[2] - 1
+    Wx = W[..., :p]
+    flat = Wx.reshape(-1, p)
+    xtx = flat.T @ flat
+    beta = np.linalg.solve(xtx, flat.T @ W[..., p].ravel())
+    r = W[..., p] - Wx @ beta
+    logdet = 2 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)))
+    total = -0.5 * (design.y.size * np.log(2 * np.pi) + logdet + np.sum(r * r))
+    if not grad:
+        return total, beta, xtx, None
+    a = np.einsum("sji,sj->si", L_inv, r)  # V^-1 r = L^-T (L^-1 r)
+    M = np.swapaxes(L_inv, 1, 2) @ L_inv - a[:, :, None] * a[:, None, :]
+    d_full = np.bincount(design.cov_index.ravel(), M.ravel(), minlength=k * k + 2)[: k * k]
+    return total, beta, xtx, -0.5 * d_full.reshape((design.n_tasks, design.n_dyads) * 2)
 
 
-def _hyperspherical_corr(angles_x, T):
-    """Unit-diagonal correlation from unconstrained angle parameters."""
+def _hyperspherical_factor(angles_x, T):
+    """Lower-triangular L with unit-norm rows from angles pi * expit(x), and
+    those angles: row i is (cos a_0, sin a_0 cos a_1, ..., prod sin a_j)."""
     theta = np.pi * expit(np.asarray(angles_x, dtype=float))
     L = np.zeros((T, T))
     L[0, 0] = 1.0
@@ -527,12 +630,40 @@ def _hyperspherical_corr(angles_x, T):
             L[i, j] = np.cos(row[j]) * prod
             prod *= np.sin(row[j])
         L[i, i] = prod
+    return L, theta
+
+
+def _hyperspherical_corr(angles_x, T):
+    """Unit-diagonal correlation from unconstrained angle parameters."""
+    L, _ = _hyperspherical_factor(angles_x, T)
     return L @ L.T
+
+
+def _hyperspherical_grads(angles_x, T):
+    """Derivative of `_hyperspherical_corr` with respect to each angle
+    coordinate, (angles, T, T)."""
+    x = np.asarray(angles_x, dtype=float)
+    L, theta = _hyperspherical_factor(x, T)
+    dL = np.zeros((x.size, T, T))
+    pos = 0
+    for i in range(1, T):
+        row = theta[pos : pos + i]
+        for j in range(i):
+            # angle j of row i: its cosine in column j, a sine factor in each later column
+            dL[pos + j, i, j] = -np.sin(row[j]) * np.prod(np.sin(row[:j]))
+            for c in range(j + 1, i + 1):
+                lead = np.cos(row[c]) if c < i else 1.0
+                dL[pos + j, i, c] = lead * np.cos(row[j]) * np.prod(np.sin(np.delete(row[:c], j)))
+        pos += i
+    dL *= (np.pi * _dexpit(x))[:, None, None]
+    half = dL @ L.T
+    return half + np.swapaxes(half, 1, 2)
 
 
 class _OmegaParam:
     """Maps optimizer coordinates to a structure's correlation matrix over
-    distances (between dyads for Omega, between task times for Gamma)."""
+    distances (between dyads for Omega, between task times for Gamma), and
+    to that matrix's derivative per coordinate."""
 
     def __init__(self, structure, distances, size):
         self.structure = structure
@@ -554,12 +685,24 @@ class _OmegaParam:
     def matrix(self, x):
         return corr_matrix(self.structure_at(x), self.distances)
 
+    def grads(self, x):
+        """Derivative of matrix(x) with respect to each coordinate, (k, size, size)."""
+        n = self.distances.shape[0]
+        if not self.names:
+            return np.zeros((0, n, n))
+        s = self.structure_at(x)
+        g = np.array(_KINDS[s.kind].grad(s, self.distances), dtype=float)
+        g[:, np.arange(n), np.arange(n)] = 0.0
+        chain = [_PARAMS[name].dfrom_x(xv) for name, xv in zip(self.names, x)]
+        return (g + np.swapaxes(g, 1, 2)) / 2 * np.array(chain)[:, None, None]
+
 
 class _GammaParam(NamedTuple):
     """Optimizer coordinates of an identity or unstructured Gamma."""
 
     start: np.ndarray
     matrix: object  # coordinates -> Gamma
+    grads: object  # coordinates -> derivative of Gamma per coordinate, (k, T, T)
 
 
 def _gamma_param(gamma, data):
@@ -573,8 +716,12 @@ def _gamma_param(gamma, data):
         tt = np.abs(data.task_times[:, None] - data.task_times[None, :])
         return gamma.kind, _OmegaParam(gamma, tt, T)
     if gamma == "unstructured" and T > 1:
-        return "unstructured", _GammaParam(np.zeros(T * (T - 1) // 2), partial(_hyperspherical_corr, T=T))
-    return "identity", _GammaParam(np.zeros(0), lambda x: np.eye(T))
+        return "unstructured", _GammaParam(
+            np.zeros(T * (T - 1) // 2),
+            partial(_hyperspherical_corr, T=T),
+            partial(_hyperspherical_grads, T=T),
+        )
+    return "identity", _GammaParam(np.zeros(0), lambda x: np.eye(T), lambda x: np.zeros((0, T, T)))
 
 
 @dataclass
@@ -594,46 +741,83 @@ class StrengthFit:
     param_se: dict
 
 
+class _StrengthModel:
+    """The strength log-likelihood over the optimizer's coordinates
+    [log tau2, log sigma_t^2 (T), Omega params, Gamma params]."""
+
+    def __init__(self, data, names, omega, gamma):
+        self.design = design = _StrengthDesign(data, names)
+        self.om = _OmegaParam(omega or CorrelationStructure("identity"), data.dyad_distances, design.n_dyads)
+        self.gamma_kind, self.gm = _gamma_param(gamma, data)
+        ols_beta, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
+        ols_var = float(np.var(design.y - design.X @ ols_beta)) or 1e-4
+        self.start = np.concatenate([
+            [np.log(max(0.2 * ols_var, 1e-6))], [np.log(max(0.8 * ols_var, 1e-6))] * design.n_tasks,
+            self.om.start, self.gm.start,
+        ])
+
+    def unpack(self, x):
+        """(tau2, sigma_task, Omega, Gamma, Omega coordinates, Gamma coordinates) at x."""
+        T, n_om = self.design.n_tasks, self.om.start.size
+        om_x, gm_x = x[1 + T : 1 + T + n_om], x[1 + T + n_om :]
+        tau2 = float(np.exp(x[0]))
+        sigma_task = np.sqrt(np.exp(x[1 : 1 + T]))
+        return tau2, sigma_task, self.om.matrix(om_x), self.gm.matrix(gm_x), om_x, gm_x
+
+    def loglik(self, x, grad=False):
+        """(log-likelihood, beta, X' V^-1 X, gradient over the coordinates or
+        None) at x. The gradient chains the derivative with respect to each
+        (task, dyad) covariance entry through kron(S Gamma S, Omega) + tau2
+        and each coordinate's transform."""
+        tau2, sigma_task, omega_m, gamma_m, om_x, gm_x = self.unpack(x)
+        ll, beta, xtx, d_full = _strength_loglik(self.design, omega_m, gamma_m, sigma_task, tau2, grad)
+        if not grad:
+            return ll, beta, xtx, None
+        scale = np.outer(sigma_task, sigma_task)
+        d_task = np.einsum("idje,de->ij", d_full, omega_m)  # with respect to S Gamma S
+        d_omega = np.einsum("idje,ij->de", d_full, gamma_m * scale)
+        d_sigma = d_task * gamma_m * scale
+        g = np.concatenate([
+            [d_full.sum() * tau2],
+            (d_sigma.sum(axis=0) + d_sigma.sum(axis=1)) / 2,
+            np.einsum("kde,de->k", self.om.grads(om_x), d_omega),
+            np.einsum("kij,ij->k", self.gm.grads(gm_x), d_task * scale),
+        ])
+        return ll, beta, xtx, g
+
+
+_BOX = 25.0  # bound on every strength coordinate
+
+
 def _fit_strength(data, names, omega, gamma, maxfev):
-    design = _StrengthDesign(data, names)
-    T = design.n_tasks
-    om = _OmegaParam(omega or CorrelationStructure("identity"), data.dyad_distances, design.n_dyads)
-    gamma_kind, gm = _gamma_param(gamma, data)
-    n_om = om.start.size
+    model = _StrengthModel(data, names, omega, gamma)
 
-    ols_beta, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
-    ols_var = float(np.var(design.y - design.X @ ols_beta)) or 1e-4
-    # Coordinate layout: [log tau2, log sigma_t^2 (T), omega params, gamma params]
-    start = np.concatenate([
-        [np.log(max(0.2 * ols_var, 1e-6))], [np.log(max(0.8 * ols_var, 1e-6))] * T, om.start, gm.start,
-    ])
-
-    def unpack(params):
-        om_x = params[1 + T : 1 + T + n_om]
-        tau2 = float(np.exp(params[0]))
-        sigma_task = np.sqrt(np.exp(params[1 : 1 + T]))
-        return tau2, sigma_task, om.matrix(om_x), gm.matrix(params[1 + T + n_om :]), om_x
-
-    def objective(params):
-        if np.max(np.abs(params)) > 25:
-            return 1e10
+    def objective(x):
+        if np.max(np.abs(x)) > _BOX:
+            return _SENTINEL
         try:
-            tau2, sigma_task, omega_m, gamma_m, _ = unpack(params)
-            ll, _, _ = _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2)
+            ll = model.loglik(x)[0]
         except (ValueError, np.linalg.LinAlgError):
-            return 1e10
-        if not np.isfinite(ll):
-            return 1e10
-        return -ll
+            return _SENTINEL
+        return -ll if np.isfinite(ll) else _SENTINEL
 
-    if objective(start) >= 1e10:
+    def objective_grad(x):
         try:
-            tau2, sigma_task, omega_m, gamma_m, _ = unpack(start)
-            _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2)
+            ll, _, _, g = model.loglik(x, grad=True)
+        except (ValueError, np.linalg.LinAlgError):
+            return _SENTINEL, np.zeros(x.size)
+        if not (np.isfinite(ll) and np.all(np.isfinite(g))):
+            return _SENTINEL, np.zeros(x.size)
+        return -ll, -g
+
+    start = model.start
+    if objective(start) >= _SENTINEL:
+        try:
+            model.loglik(start)
         except (ValueError, np.linalg.LinAlgError) as exc:
             hint = ""
             if data.dyad_distances is not None:
-                off = data.dyad_distances[~np.eye(design.n_dyads, dtype=bool)]
+                off = data.dyad_distances[~np.eye(model.design.n_dyads, dtype=bool)]
                 if off.size and float(off.min()) == 0.0:
                     hint = (
                         "; distinct dyads share a midpoint, which makes "
@@ -644,17 +828,24 @@ def _fit_strength(data, names, omega, gamma, maxfev):
                 f"strength covariance is degenerate at the starting values: {exc}{hint}"
             ) from exc
 
+    res = optimize.minimize(
+        objective_grad, start, jac=True, method="L-BFGS-B", bounds=[(-_BOX, _BOX)] * start.size,
+        options={"maxfun": maxfev, "ftol": 1e-13, "gtol": 1e-8},
+    )
     # Variance-parameter uncertainty from the profile deviance (transformed scale).
-    res, param_se = _minimize(objective, start, maxfev, 1e-3)
-    if res.fun >= 1e10:
+    if res.success and res.fun < _SENTINEL:
+        param_se = _standard_errors(objective, res.x, 1e-3)
+    else:
+        res, param_se = _minimize(objective, res.x, max(maxfev - res.nfev, 1), 1e-3)
+    if res.fun >= _SENTINEL:
         raise ValueError("no valid covariance parameters found during optimization")
-    tau2, sigma_task, omega_m, gamma_m, om_x = unpack(res.x)
-    ll, beta, xtx = _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2)
+    tau2, sigma_task, omega_m, gamma_m, om_x, _ = model.unpack(res.x)
+    ll, beta, xtx, _ = model.loglik(res.x)
     labels = (
         ["log_tau2"]
-        + [f"log_sigma2_task{t}" for t in range(T)]
-        + [f"omega_{n}" for n in om.names]
-        + [f"gamma_{i}" for i in range(gm.start.size)]
+        + [f"log_sigma2_task{t}" for t in range(sigma_task.size)]
+        + [f"omega_{n}" for n in model.om.names]
+        + [f"gamma_{i}" for i in range(model.gm.start.size)]
     )
     return StrengthFit(
         names=tuple(names),
@@ -662,13 +853,13 @@ def _fit_strength(data, names, omega, gamma, maxfev):
         se=np.sqrt(np.diag(np.linalg.inv(xtx))),
         tau2=tau2,
         sigma_task=sigma_task,
-        omega=om.structure_at(om_x),
+        omega=model.om.structure_at(om_x),
         omega_matrix=omega_m,
-        gamma_kind=gamma_kind,
+        gamma_kind=model.gamma_kind,
         gamma_matrix=gamma_m,
         loglik=float(ll),
         converged=bool(res.success),
-        n_rows=int(design.y.size),
+        n_rows=int(model.design.y.size),
         param_se={lab: float(v) for lab, v in zip(labels, param_se)},
     )
 
@@ -697,6 +888,18 @@ def twopart_fit(
     gamma: "identity", "unstructured", or a CorrelationStructure evaluated
     on inter-task times (multi-task data only). Provided structure parameter
     values seed the optimizer; all free parameters are estimated.
+
+    The presence part maximizes its marginal likelihood with Nelder-Mead.
+    The strength part maximizes its profile likelihood with L-BFGS-B on the
+    exact gradient, every coordinate (log variances, transformed
+    correlation parameters) bounded to [-25, 25]. When L-BFGS-B does not
+    report success or ends at no valid point, Nelder-Mead continues from
+    where it stopped. maxfev caps the likelihood evaluations of each part's
+    optimizer; for the strength part it is shared by L-BFGS-B and the
+    fallback (L-BFGS-B may finish the line search under way). Standard
+    errors of the covariance parameters (`param_se`, on the optimizer's
+    scale) come from a central-difference Hessian, and are NaN for a
+    coordinate at or next to its bound.
     """
     presence = _fit_presence(data, presence_formula, quad_points, maxfev)
     strength = _fit_strength(data, strength_formula, omega, gamma, maxfev)

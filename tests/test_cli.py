@@ -636,3 +636,34 @@ def test_pipeline_with_no_value_for_a_metric_reports_null(tmp_path, capsys):
     assert all(entry["path_length"] is None for entry in result["per_subject"])
     assert result["group_mean"] == {"density": 0.0, "path_length": None}
     assert result["group_std"] == {"density": 0.0, "path_length": None}
+
+
+def test_pipeline_second_analysis_of_a_kind_gets_its_own_table(tmp_path, capsys):
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    first, second = ["density"], ["density", "clustering_mean_local"]
+    edgewise = {"method": "edgewise", "group_a": [0, 1, 2], "group_b": [3, 4, 5]}
+    cfg["analyses"] = [
+        {"type": "metrics", "params": {"metrics": first}},
+        {"type": "compare", "params": {**edgewise, "correction": "bonferroni"}},
+        {"type": "metrics", "params": {"metrics": second}},
+        {"type": "compare", "params": {**edgewise, "correction": "bh-fdr"}},
+    ]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    code, stdout, _ = run_cli(capsys, "pipeline", "--config", path, "--out", out)
+    assert code == 0
+    assert set(json.loads(stdout)["reports"]) == {"metrics", "metrics_2", "compare", "compare_2"}
+    for label, names in (("metrics", first), ("metrics_2", second)):
+        rows = (out / f"{label}.csv").read_text().splitlines()
+        assert rows[0] == ",".join(["subject", *names])
+        per_subject = json.loads((out / f"{label}.json").read_text())["result"]["per_subject"]
+        assert [row.split(",")[1] for row in rows[1:]] == [f"{e['density']:.12g}" for e in per_subject]
+    for label, correction in (("", "bonferroni"), ("_2", "bh-fdr")):
+        rows = (out / f"edgewise{label}.csv").read_text().splitlines()
+        q = json.loads((out / f"compare{label}.json").read_text())["result"]["q"]
+        assert rows[0] == "i,j,t,p,q"
+        assert [float(row.split(",")[4]) for row in rows[1:]] == pytest.approx(q, rel=1e-11)
+        assert json.loads((out / f"compare{label}.json").read_text())["params"]["correction"] == correction
+    assert (out / "edgewise.csv").read_text() != (out / "edgewise_2.csv").read_text()

@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit
 
 from fcnets.estimators import ConnectionMatrix
 from fcnets.twopart import (
     _KINDS,
     _PARAMS,
+    _SENTINEL,
     STRUCTURE_KINDS,
+    _minimize,
     _OmegaParam,
+    _StrengthDesign,
+    _strength_loglik,
+    _StrengthModel,
     CorrelationStructure,
     build_dyad_dataset,
     corr_matrix,
@@ -18,6 +24,7 @@ from fcnets.twopart import (
     twopart_fit,
     twopart_predict,
 )
+from test_acceptance import simulate_dyad_study
 
 TIMES = np.array([0.0, 1.0, 2.0])
 DIST3 = np.abs(TIMES[:, None] - TIMES[None, :])
@@ -376,6 +383,10 @@ def test_strength_fit_matches_dense_numpy_oracle():
     coords = np.column_stack([xs, 0.05 * xs**2, np.zeros(4)])
     age = np.array([-1.0, -0.4, 0.1, 0.5, 0.9, 1.3])
     vals = 0.3 + 0.05 * age[None, :, None] + 0.1 * rng.random((2, 6, 6))
+    # dyad noise that decays exponentially with midpoint distance, so that the
+    # likelihood peaks at an interior phi (without it, it rises as phi -> 0)
+    dist = dyad_midpoint_distances(coords, list(zip(*np.triu_indices(4, 1))))
+    vals += 0.05 * rng.standard_normal((2, 6, 6)) @ np.linalg.cholesky(np.exp(-dist / 1.5)).T
     vals[0, 3, 1] = vals[1, 4, 0] = vals[1, 4, 5] = vals[0, 5, 2] = -0.2
     mats = [[cm_from_dyads(v, 4) for v in task] for task in vals]
     data = build_dyad_dataset(mats, coordinates=coords, covariates={"age": age})
@@ -451,3 +462,214 @@ def test_predict_guards(identical_subject_fit):
     _, fit = identical_subject_fit
     with pytest.raises(ValueError, match="share a length"):
         twopart_predict(fit, {"a": np.zeros(2), "b": np.zeros(3)})
+
+
+# --- batched strength likelihood, its gradient, standard errors at a bound ---
+
+
+def per_block_loglik(data, names, omega_m, gamma_m, sigma_task, tau2):
+    """The strength likelihood one subject block at a time: a scipy Cholesky
+    factor per block for both the GLS step and the log-likelihood."""
+    mask = data.v > 0
+    X = data.design(names)[mask]
+    y = np.arctanh(np.clip(data.y[mask], 0.0, 1.0 - 1e-12))
+    subject, task, dyad = data.subject[mask], data.task[mask], data.dyad[mask]
+    gp = gamma_m * np.outer(sigma_task, sigma_task)
+    xtx = np.zeros((X.shape[1], X.shape[1]))
+    xty = np.zeros(X.shape[1])
+    blocks = []
+    for s in np.unique(subject):
+        idx = np.where(subject == s)[0]
+        idx = idx[np.lexsort((dyad[idx], task[idx]))]
+        t, d = task[idx], dyad[idx]
+        c = cho_factor(gp[np.ix_(t, t)] * omega_m[np.ix_(d, d)] + tau2, lower=True)
+        ci_x = cho_solve(c, X[idx])
+        xtx += X[idx].T @ ci_x
+        xty += ci_x.T @ y[idx]
+        blocks.append((idx, c))
+    beta = np.linalg.solve(xtx, xty)
+    resid = y - X @ beta
+    total = 0.0
+    for idx, c in blocks:
+        r = resid[idx]
+        logdet = 2 * np.sum(np.log(np.diag(c[0])))
+        total += -0.5 * (r.size * np.log(2 * np.pi) + logdet + float(r @ cho_solve(c, r)))
+    return total, beta, xtx
+
+
+def dyad_data(rng, n, subjects, tasks=1, present=None, covariate=False, coords=None, times=None):
+    """Random strengths on n nodes; present[s] (default all) lists each
+    subject's present (task, dyad) rows by flat index."""
+    D = n * (n - 1) // 2
+    vals = 0.3 + 0.15 * rng.random((tasks, subjects, D))
+    if present is not None:
+        keep = np.zeros((subjects, tasks * D), dtype=bool)
+        for s, rows in enumerate(present):
+            keep[s, rows] = True
+        vals = np.where(keep.reshape(subjects, tasks, D).transpose(1, 0, 2), vals, -0.1)
+    mats = [[cm_from_dyads(v, n) for v in task] for task in vals]
+    extra = {"x": rng.standard_normal(subjects * tasks * D)} if covariate else None
+    return build_dyad_dataset(mats, coordinates=coords, covariates=extra, task_times=times)
+
+
+def batched_cases():
+    rng = np.random.default_rng(7)
+    return {
+        "one_row_blocks": dyad_data(rng, 5, 6, present=[[s] for s in range(6)]),
+        "single_subject": dyad_data(rng, 6, 1, present=[rng.permutation(15)[:11]]),
+        "sizes_1_to_50": dyad_data(rng, 11, 50, present=[rng.permutation(55)[: s + 1] for s in range(50)]),
+        "multi_task_incomplete": dyad_data(
+            rng, 5, 7, tasks=3, present=[rng.permutation(30)[: rng.integers(1, 31)] for _ in range(7)]
+        ),
+        "covariate": dyad_data(
+            rng, 5, 6, tasks=2, covariate=True, present=[rng.permutation(20)[: 8 + 2 * s] for s in range(6)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(batched_cases()))
+def test_batched_strength_loglik_matches_per_block_reference(case):
+    data = batched_cases()[case]
+    names = ("intercept", "x") if data.covariates else ("intercept",)
+    design = _StrengthDesign(data, names)
+    sizes = np.bincount(data.subject[data.v > 0])
+    if case == "sizes_1_to_50":
+        assert sorted(sizes.tolist()) == list(range(1, 51))
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        omega_m = rand_corr(rng, len(data.dyads))
+        gamma_m = rand_corr(rng, data.n_tasks) if data.n_tasks > 1 else np.eye(1)
+        sigma_task = rng.uniform(0.05, 0.3, data.n_tasks)
+        tau2 = float(rng.uniform(0.0, 0.05))
+        ll, beta, xtx, _ = _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2)
+        ref_ll, ref_beta, ref_xtx = per_block_loglik(data, names, omega_m, gamma_m, sigma_task, tau2)
+        assert abs(ll - ref_ll) <= 1e-12 * abs(ref_ll)
+        assert np.max(np.abs(beta - ref_beta)) <= 1e-12 * np.max(np.abs(ref_beta))
+        np.testing.assert_allclose(xtx, ref_xtx, rtol=1e-12, atol=0)
+        # with the gradient the value is the same to rounding
+        ll_g, beta_g, _, _ = _strength_loglik(design, omega_m, gamma_m, sigma_task, tau2, grad=True)
+        assert abs(ll_g - ref_ll) <= 1e-12 * abs(ref_ll)
+        assert np.max(np.abs(beta_g - ref_beta)) <= 1e-12 * np.max(np.abs(ref_beta))
+
+
+def test_batched_design_pads_with_identity():
+    rng = np.random.default_rng(3)
+    data = dyad_data(rng, 5, 3, tasks=2, present=[[0], [1, 4, 12, 19], [2, 3]])
+    design = _StrengthDesign(data, ("intercept",))
+    k = data.n_tasks * len(data.dyads)
+    # block 0 has one real row: every other row and column is pad
+    index = design.cov_index[0]
+    assert index[0, 0] == 0 and np.all(index[0, 1:] == k * k) and np.all(index[1:, 0] == k * k)
+    pad = index[1:, 1:]
+    assert np.all(np.diag(pad) == k * k + 1)
+    assert np.all(pad[~np.eye(3, dtype=bool)] == k * k)
+    assert np.all(design.xy[0, 1:] == 0.0)
+
+
+def strength_model(kind, tasks, gamma, complete, seed):
+    rng = np.random.default_rng(seed)
+    # points on a line whose pair sums differ, so dyad midpoints are distinct
+    # and every distance kernel is positive definite
+    coords = np.column_stack([[0.0, 1.0, 3.0, 7.0, 15.0], np.zeros(5), np.zeros(5)]) / 4
+    present = None if complete else [rng.permutation(10 * tasks)[: 10 * tasks - 1 - s] for s in range(4)]
+    times = np.array([0.0, 1.0, 2.5])[:tasks]
+    data = dyad_data(rng, 5, 4, tasks=tasks, present=present, coords=coords, times=times)
+    return _StrengthModel(data, ("intercept",), CorrelationStructure(kind), gamma), rng
+
+
+GAMMAS = {  # task count and twopart_fit's gamma argument
+    "identity": (2, "identity"),
+    "unstructured": (3, "unstructured"),
+    "patterned": (3, CorrelationStructure("ar1")),
+}
+
+
+@pytest.mark.parametrize("complete", [True, False], ids=["complete", "incomplete"])
+@pytest.mark.parametrize("gamma", list(GAMMAS))
+@pytest.mark.parametrize("kind", STRUCTURE_KINDS)
+def test_strength_gradient_matches_central_differences(kind, gamma, complete):
+    tasks, gamma_arg = GAMMAS[gamma]
+    model, rng = strength_model(kind, tasks, gamma_arg, complete, seed=len(kind) + tasks)
+    if complete:
+        assert np.all(model.design.cov_index < (tasks * 10) ** 2)
+    else:
+        assert np.any(model.design.cov_index >= (tasks * 10) ** 2)
+    shift = np.zeros(model.start.size)
+    if kind == "gaussian":
+        shift[1 + tasks] = -1.0  # phi at the median distance leaves Omega nearly singular
+    for _ in range(3):
+        x = model.start + shift + rng.uniform(-0.3, 0.3, model.start.size)
+        _, _, _, g = model.loglik(x, grad=True)
+        num = np.zeros(x.size)
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = 1e-4
+            diff = [(model.loglik(x + k * e)[0] - model.loglik(x - k * e)[0]) / (2e-4 * k) for k in (1, 0.5)]
+            num[i] = (4 * diff[1] - diff[0]) / 3  # Richardson: error O(step^4)
+        np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-5)
+
+
+def test_standard_errors_are_nan_at_a_bound():
+    # the minimum of this quadratic lies outside the box the objective allows
+    # (|x| <= 40), so Nelder-Mead stops on its edge in x0
+    H = np.array([[2.0, 0.6], [0.6, 1.0]])
+
+    def objective(x):
+        if np.max(np.abs(x)) > 40:
+            return _SENTINEL
+        d = x - np.array([55.0, 1.0])
+        return 0.5 * d @ H @ d
+
+    res, se = _minimize(objective, np.array([30.0, 0.0]), 4000, 1e-4)
+    assert res.x[0] == pytest.approx(40.0, abs=1e-4)
+    assert np.isnan(se[0])
+    assert se[1] == pytest.approx(1.0, rel=1e-4)  # 1 / sqrt(H[1, 1]), x0 held fixed
+    # inside the box every coordinate keeps its standard error
+    res, se = _minimize(lambda x: 0.5 * x @ H @ x, np.array([3.0, -2.0]), 4000, 1e-4)
+    assert se == pytest.approx(np.sqrt(np.diag(np.linalg.inv(H))), rel=1e-4)
+
+
+def c08_fit(seed):
+    mats, coords = simulate_dyad_study(seed)
+    data = build_dyad_dataset(mats, coordinates=coords)
+    return twopart_fit(data, omega=CorrelationStructure("lear"), maxfev=1500).strength
+
+
+def test_strength_se_is_nan_for_a_variance_at_its_bound():
+    # criterion-08 replicate 1026: the subject variance goes to zero, and the
+    # likelihood is highest with log tau2 on its lower bound
+    s = c08_fit(1026)
+    assert s.converged
+    assert s.tau2 == pytest.approx(np.exp(-25.0), rel=1e-9)
+    assert np.isnan(s.param_se["log_tau2"])
+    others = [v for name, v in s.param_se.items() if name != "log_tau2"]
+    assert all(np.isfinite(v) and v > 0.01 for v in others)
+    assert s.loglik >= 431.883066136 - 1e-6
+
+
+def test_strength_fit_reaches_the_interior_optimum():
+    # criterion-08 replicate 1078: the optimum (from 30 random starts) has
+    # tau2 = 0.0031; a fit that stops with tau2 near zero falls 1.2 short
+    s = c08_fit(1078)
+    assert s.converged
+    assert s.loglik >= 412.805205303 - 1e-6
+    assert s.tau2 == pytest.approx(0.00311331, rel=1e-3)
+
+
+def test_strength_fit_falls_back_to_nelder_mead(monkeypatch):
+    # a gradient of the wrong sign makes every L-BFGS-B line search fail at
+    # the start; Nelder-Mead, which uses values only, continues from there
+    loglik = _StrengthModel.loglik
+
+    def flipped(self, x, grad=False):
+        ll, beta, xtx, g = loglik(self, x, grad)
+        return ll, beta, xtx, None if g is None else -g
+
+    monkeypatch.setattr(_StrengthModel, "loglik", flipped)
+    mats, coords = simulate_dyad_study(1078)
+    data = build_dyad_dataset(mats, coordinates=coords)
+    model = _StrengthModel(data, ("intercept",), CorrelationStructure("lear"), "identity")
+    s = twopart_fit(data, omega=CorrelationStructure("lear"), maxfev=1500).strength
+    assert model.loglik(model.start)[0] < 370.0
+    assert s.loglik > 410.0
+    assert all(np.isfinite(v) for v in s.param_se.values())
