@@ -22,7 +22,10 @@ spreads across seeds but hardly within a pair. The verdict is
 ``unresolved`` when the interquartile range of the paired differences is
 wider than the bound and the change is not better on every seed;
 otherwise ``ok`` when their median stays within the bound, and ``WORSE``
-when it does not. The median paired difference is printed as ``diff``.
+when it does not. The median paired difference is printed as ``diff``,
+and for each ``unresolved`` metric every seed's values and paired
+difference follow the table, one line per seed, so that a spread with
+two levels (some seeds moved, others not) shows.
 
 Exits 1 if any run exits with an error, is not ``correct`` or has a failed
 operation.
@@ -59,17 +62,32 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def paired(parent, change, name, better):
+    """Per seed: (parent value, change value, paired difference), the last
+    (change - parent) / parent signed so that positive is worse."""
+    sign = 1.0 if better == "lower" else -1.0
+    p = [r["metrics"][name]["value"] for r in parent]
+    c = [r["metrics"][name]["value"] for r in change]
+    return [(a, b, sign * (b - a) / abs(a)) for a, b in zip(p, c)]
+
+
+def paired_lines(seeds, parent, change, name, better):
+    """One line per seed with both values and the paired difference."""
+    return [
+        f"  seed {seed}: parent {a:.4g} change {b:.4g} diff {w:+.1%}"
+        for seed, (a, b, w) in zip(seeds, paired(parent, change, name, better))
+    ]
+
+
 def summarize(parent, change, metrics):
     """One row per metric: medians, quartiles, pairs won, bound verdict, gain verdict."""
     rows = []
     for name, (better, bound) in metrics.items():
-        p = [r["metrics"][name]["value"] for r in parent]
-        c = [r["metrics"][name]["value"] for r in change]
+        p, c, worse = map(list, zip(*paired(parent, change, name, better)))
         sign = 1.0 if better == "lower" else -1.0
-        won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        won = sum(w < 0 for w in worse)
         p_q1, p_med, p_q3 = quartiles(p)
         c_q1, c_med, c_q3 = quartiles(c)
-        worse = [sign * (b - a) / abs(a) for a, b in zip(p, c)]
         w_q1, w_med, w_q3 = quartiles(worse)
         if w_q3 - w_q1 > bound and won < len(p):
             verdict = "unresolved"
@@ -118,13 +136,18 @@ def main():
 
     fmt = "{:28} {:>10} {:>22} {:>10} {:>22} {:>7} {:>8} {:>10} {:>5}"
     print(fmt.format("metric", "parent", "[q1, q3]", "change", "[q1, q3]", "won", "diff", "bound", "gain"))
-    for name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, pairs, diff, verdict, gain in summarize(
-        results["parent"], results["change"], metrics
-    ):
+    rows = summarize(results["parent"], results["change"], metrics)
+    for name, p_med, p_q1, p_q3, c_med, c_q1, c_q3, won, pairs, diff, verdict, gain in rows:
         print(fmt.format(
             name, f"{p_med:.4g}", f"[{p_q1:.4g}, {p_q3:.4g}]", f"{c_med:.4g}", f"[{c_q1:.4g}, {c_q3:.4g}]",
             f"{won}/{pairs}", f"{diff:+.1%}", verdict, "yes" if gain else "no",
         ))
+    seeds = range(args.seeds[0], args.seeds[1] + 1)
+    for name, *_, verdict, _gain in rows:
+        if verdict == "unresolved":
+            print(f"{name} unresolved; paired differences (positive is worse):")
+            lines = paired_lines(seeds, results["parent"], results["change"], name, metrics[name][0])
+            print("\n".join(lines))
     if bad:
         print("runs that were not correct or had failed operations:\n  " + "\n  ".join(bad))
         sys.exit(1)

@@ -253,8 +253,13 @@ def _neighbor_indices(series, embed):
 
     Temporal neighbors closer than the embedding window (b itself included)
     are excluded so trivially-adjacent vectors never count as recurrences.
-    The (B, B) distance buffers are shared by all nodes: fresh ones would each
-    be a new memory map once B^2 floats outgrow the allocator's threshold.
+    Each row's k-th smallest distance bounds its neighbours: when exactly
+    B * k entries lie at or below their row's bound, every row has exactly
+    its k nearest there, and they are taken in column order. Otherwise some
+    row ties at its k-th distance, and `np.argpartition` picks which of the
+    tied vectors count. The (B, B) distance buffers are shared by all nodes:
+    fresh ones would each be a new memory map once B^2 floats outgrow the
+    allocator's threshold.
     """
     B, k = embed.vector_count(series.shape[1]), embed.neighbor_count
     excluded = np.abs(np.subtract.outer(np.arange(B), np.arange(B))) < embed.window()
@@ -267,7 +272,13 @@ def _neighbor_indices(series, embed):
         gram *= 2.0
         d2 -= gram
         d2[excluded] = np.inf
-        yield np.argpartition(d2, k - 1, axis=1)[:, :k]
+        np.copyto(gram, d2)
+        gram.partition(k - 1, axis=1)  # in place: column k - 1 holds each row's k-th distance
+        near = np.flatnonzero(d2 <= gram[:, k - 1 : k])
+        if near.size == B * k:
+            yield (near % B).reshape(B, k)
+        else:
+            yield np.argpartition(d2, k - 1, axis=1)[:, :k]
 
 
 def synchronization_matrix(series, embed=DelayEmbedding()):

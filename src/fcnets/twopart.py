@@ -12,8 +12,11 @@ largest block size once per fit, so each evaluation of the strength
 likelihood gathers all block covariances with one `take`, factors the
 stack with one batched Cholesky and solves for [X y] in one call; those
 factors give the GLS coefficients, the log-likelihood and its exact
-gradient (with the GLS coefficients profiled out). L-BFGS-B maximizes it
-within box bounds, with Nelder-Mead as the fallback when it fails.
+gradient (with the GLS coefficients profiled out). The presence
+likelihood's gradient comes through the quadrature's Laplace mode. Both
+parts are maximized by L-BFGS-B within box bounds, with Nelder-Mead as the
+fallback when it fails, and their standard errors come from differences
+of the exact gradient.
 Each correlation kind is stated once, in `_KINDS` (its parameters, its
 kernel over distances and that kernel's derivatives), and each parameter
 once, in `_PARAMS` (its range, its optimizer transform with that
@@ -30,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import itemgetter
 from numbers import Real
 from typing import NamedTuple
 
@@ -382,32 +386,59 @@ def _fd_hessian(f, x, h):
     return H, hit
 
 
-def _standard_errors(objective, x, step):
-    """Each coordinate's standard error from the inverse central-difference
-    Hessian at x (steps step * (1 + |x|)).
+def _gradient_hessian(objective, x, h):
+    """Central-difference Hessian of the exact gradient at x with
+    per-coordinate steps h, symmetrised (objective(x, grad=True) -> (value,
+    gradient); one pair of calls per coordinate), and which coordinates had
+    a point where the objective met the sentinel."""
+    H = np.zeros((x.size, x.size))
+    hit = np.zeros(x.size, dtype=bool)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h[i]
+        (f_p, g_p), (f_m, g_m) = objective(x + e, grad=True), objective(x - e, grad=True)
+        H[:, i] = (g_p - g_m) / (2 * h[i])
+        hit[i] = max(f_p, f_m) >= _SENTINEL
+    return (H + H.T) / 2, hit
 
-    A coordinate whose stencil meets the sentinel - one at or next to the
-    box the objective allows - gets NaN, and the others come from the
-    Hessian over the coordinates left. Also NaN where a variance is not
-    positive or that Hessian is singular.
+
+def _standard_errors(objective, x, step, box=np.inf, grad=False):
+    """Each coordinate's standard error from the inverse Hessian at x, by
+    central differences with steps step * (1 + |x|): of the exact gradient
+    with grad (`_gradient_hessian`), else of the values (`_fd_hessian`).
+
+    A coordinate gets NaN when its stencil meets the sentinel - it is at or
+    next to the box the objective allows - and when x +- 2 SE leaves its
+    box, where the likelihood is too flat for a local standard error to
+    mean anything. The others come from the Hessian over the coordinates
+    left. Also NaN where a variance is not positive or that Hessian is
+    singular.
     """
-    H, hit = _fd_hessian(objective, x, step * (1.0 + np.abs(x)))
-    bad = np.diag(hit).copy()
-    bad |= np.any(hit & ~bad[:, None] & ~bad[None, :], axis=1)
-    se = np.full(x.size, np.nan)
-    keep = np.flatnonzero(~bad)
-    if keep.size:
-        try:
-            var = np.diag(np.linalg.inv(H[np.ix_(keep, keep)]))
-        except np.linalg.LinAlgError:
+    h = step * (1.0 + np.abs(x))
+    if grad:
+        H, bad = _gradient_hessian(objective, x, h)
+    else:
+        H, hit = _fd_hessian(objective, x, h)
+        bad = np.diag(hit).copy()
+        bad |= np.any(hit & ~bad[:, None] & ~bad[None, :], axis=1)
+    while True:
+        se = np.full(x.size, np.nan)
+        keep = np.flatnonzero(~bad)
+        if keep.size:
+            try:
+                var = np.diag(np.linalg.inv(H[np.ix_(keep, keep)]))
+            except np.linalg.LinAlgError:
+                return se
+            se[keep] = np.sqrt(np.where(var > 0, var, np.nan))
+        flat = np.abs(x) + 2 * se > box
+        if not flat.any():
             return se
-        se[keep] = np.sqrt(np.where(var > 0, var, np.nan))
-    return se
+        bad |= flat
 
 
 def _minimize(objective, start, maxfev, step):
-    """Nelder-Mead from start, then standard errors at the optimum
-    (`_standard_errors`)."""
+    """Nelder-Mead from start, then standard errors at the optimum from the
+    values (`_standard_errors`, with no box)."""
     res = optimize.minimize(
         objective, start, method="Nelder-Mead",
         options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-9},
@@ -415,23 +446,77 @@ def _minimize(objective, start, maxfev, step):
     return res, _standard_errors(objective, res.x, step)
 
 
+def _objective(loglik, box):
+    """The negative log-likelihood that the optimizers minimize.
+
+    loglik(x, grad) -> (log-likelihood, its gradient or None). The result
+    objective(x, grad=False) is the value, or with grad (value, gradient);
+    outside |x| <= box, where loglik raises ValueError or LinAlgError, and
+    where either is not finite it is the sentinel (with a zero gradient).
+    """
+
+    def objective(x, grad=False):
+        ll, g = np.nan, None
+        if np.all(np.abs(x) <= box):
+            try:
+                ll, g = loglik(x, grad=grad)
+            except (ValueError, np.linalg.LinAlgError):
+                pass
+        ok = np.isfinite(ll) and (not grad or np.all(np.isfinite(g)))
+        if not grad:
+            return -ll if ok else _SENTINEL
+        return (-ll, -g) if ok else (_SENTINEL, np.zeros(x.size))
+
+    return objective
+
+
+def _fit_box(objective, start, box, maxfev, step):
+    """Minimize an `_objective` within |x| <= box; (result, standard errors).
+
+    L-BFGS-B on the exact gradient (ftol 1e-13, gtol 1e-8, at most maxfev
+    evaluations), with standard errors from gradient differences, NaN where
+    x +- 2 SE leaves the box. When it does not report success or ends on
+    the sentinel, Nelder-Mead continues from where it stopped with the
+    evaluations left (`_minimize`), and the standard errors come from value
+    differences with the sentinel rule alone.
+    """
+    res = optimize.minimize(
+        objective, start, args=(True,), jac=True, method="L-BFGS-B",
+        bounds=np.column_stack([-box, box]), options={"maxfun": maxfev, "ftol": 1e-13, "gtol": 1e-8},
+    )
+    if res.success and res.fun < _SENTINEL:
+        return res, _standard_errors(objective, res.x, step, box, grad=True)
+    return _minimize(objective, res.x, max(maxfev - res.nfev, 1), step)
+
+
 # ---------------------------------------------------------------------------
 # Part I: mixed-effects logistic presence model
 
 
-def _presence_marginal(params, X, y, subj, n_subjects, nodes, weights):
-    """Marginal log-likelihood via Laplace-centered Gauss-Hermite quadrature."""
+def _presence_marginal(params, X, y, subj, n_subjects, nodes, weights, grad=False):
+    """Marginal log-likelihood via Laplace-centered Gauss-Hermite quadrature,
+    and with grad its gradient over params = [beta, log tau]; else None.
+
+    Subject s's log integrand g(u) = sum of its rows' log p(y | eta + u) plus
+    log N(u; 0, tau^2) has mode u* and sigma* = (-g''(u*))^-1/2, and is
+    evaluated at the nodes d_q = u* + sqrt(2) sigma* x_q. The gradient
+    differentiates through the mode (Pinheiro & Bates 1995): with P_q the
+    normalised quadrature terms, d/dtheta = sum_q P_q [dg(d_q)/dtheta +
+    g'(d_q) (du*/dtheta + sqrt(2) x_q dsigma*/dtheta)] + (dsigma*/dtheta) /
+    sigma*, where du* = -d_theta g'(u*) / g''(u*) and dsigma* =
+    sigma*^3 (d_theta g''(u*) + g'''(u*) du*) / 2.
+    """
     beta = params[:-1]
     tau = float(np.exp(params[-1]))
     eta0 = X @ beta
     u = np.zeros(n_subjects)
     for _ in range(60):
         mu = expit(eta0 + u[subj])
-        grad = np.bincount(subj, weights=y - mu, minlength=n_subjects) - u / tau**2
+        g1 = np.bincount(subj, weights=y - mu, minlength=n_subjects) - u / tau**2
         hess = -np.bincount(subj, weights=mu * (1 - mu), minlength=n_subjects) - 1 / tau**2
-        step = np.clip(grad / (-hess), -5.0, 5.0)
+        step = np.clip(g1 / (-hess), -5.0, 5.0)
         u = u + step
-        if np.max(np.abs(grad)) < 1e-10:
+        if np.max(np.abs(g1)) < 1e-10:
             break
     mu = expit(eta0 + u[subj])
     hess = -np.bincount(subj, weights=mu * (1 - mu), minlength=n_subjects) - 1 / tau**2
@@ -441,13 +526,37 @@ def _presence_marginal(params, X, y, subj, n_subjects, nodes, weights):
     eta = eta0[None, :] + d[:, subj]  # (Q, N)
     row_ll = y[None, :] * eta - np.logaddexp(0.0, eta)
     # one bincount over (node, subject) cells adds each cell's rows in row order
-    cells = np.arange(nodes.size)[:, None] * n_subjects + subj
-    g = np.bincount(cells.ravel(), weights=row_ll.ravel(), minlength=nodes.size * n_subjects)
-    g = g.reshape(nodes.size, n_subjects)
+    cells = (np.arange(nodes.size)[:, None] * n_subjects + subj).ravel()
+    size = nodes.size * n_subjects
+    g = np.bincount(cells, weights=row_ll.ravel(), minlength=size).reshape(nodes.size, n_subjects)
     g += -0.5 * (d / tau) ** 2 - np.log(tau) - 0.5 * np.log(2 * np.pi)
     log_terms = np.log(weights)[:, None] + nodes[:, None] ** 2 + g
-    per_subject = logsumexp(log_terms, axis=0) + 0.5 * np.log(2.0) + np.log(sigma_star)
-    return float(np.sum(per_subject))
+    norm = logsumexp(log_terms, axis=0)
+    total = float(np.sum(norm + 0.5 * np.log(2.0) + np.log(sigma_star)))
+    if not grad:
+        return total, None
+
+    def by_subject(rows):  # (N, k) row values -> (S, k) subject sums
+        return np.stack([np.bincount(subj, weights=c, minlength=n_subjects) for c in rows.T], axis=1)
+
+    # at the mode: derivatives of g' and g'' over [beta, log tau], and g'''
+    w = mu * (1 - mu)
+    Xw = np.column_stack([X, np.zeros(y.size)])  # log tau enters through the prior only
+    dg1 = -by_subject(w[:, None] * Xw)
+    dg1[:, -1] = 2 * u / tau**2
+    dg2 = -by_subject((w * (1 - 2 * mu))[:, None] * Xw)
+    dg2[:, -1] = 2 / tau**2
+    g3 = -np.bincount(subj, weights=w * (1 - 2 * mu), minlength=n_subjects)
+    du = -dg1 / hess[:, None]
+    dsigma = 0.5 * sigma_star[:, None] ** 3 * (dg2 + g3[:, None] * du)
+    # at the nodes: g'(d_q), and g's own derivative weighted by P_q
+    P = np.exp(log_terms - norm)  # (Q, S)
+    resid = y[None, :] - expit(eta)  # (Q, N)
+    g1_nodes = np.bincount(cells, weights=resid.ravel(), minlength=size).reshape(P.shape) - d / tau**2
+    direct = np.append(X.T @ np.sum(P[:, subj] * resid, axis=0), np.sum(P * ((d / tau) ** 2 - 1)))
+    a = np.sum(P * g1_nodes, axis=0)
+    b = np.sqrt(2.0) * np.sum(P * g1_nodes * nodes[:, None], axis=0)
+    return total, direct + a @ du + b @ dsigma + np.sum(dsigma / sigma_star[:, None], axis=0)
 
 
 @dataclass
@@ -481,13 +590,18 @@ def _fit_presence(data, names, quad_points, maxfev):
         if np.max(np.abs(grad)) < 1e-8:
             break
     start = np.concatenate([beta, [np.log(0.5)]])
-
-    def objective(params):
-        if abs(params[-1]) > 12 or np.max(np.abs(params[:-1])) > 40:
-            return _SENTINEL
-        return -_presence_marginal(params, X, y, subj, data.n_subjects, nodes, weights)
-
-    res, se = _minimize(objective, start, maxfev, 1e-4)
+    box = np.append(np.full(X.shape[1], 40.0), 12.0)  # beta, log tau
+    objective = _objective(
+        lambda x, grad: _presence_marginal(x, X, y, subj, data.n_subjects, nodes, weights, grad), box
+    )
+    res, se = _fit_box(objective, start, box, maxfev, 1e-4)
+    if np.isnan(se[-1]) and res.x[-1] < 0:
+        # tau tends to 0, where the likelihood is too flat for L-BFGS-B to
+        # follow to the bound; on the bound the model is the plain logistic
+        # one, so refit from that fit there and keep the better of the two
+        low = _fit_box(objective, np.append(beta, -box[-1]), box, max(maxfev - res.nfev, 1), 1e-4)
+        if low[0].fun < res.fun:
+            res, se = low
     return PresenceFit(
         names=tuple(names),
         beta=res.x[:-1],
@@ -791,26 +905,9 @@ _BOX = 25.0  # bound on every strength coordinate
 
 def _fit_strength(data, names, omega, gamma, maxfev):
     model = _StrengthModel(data, names, omega, gamma)
-
-    def objective(x):
-        if np.max(np.abs(x)) > _BOX:
-            return _SENTINEL
-        try:
-            ll = model.loglik(x)[0]
-        except (ValueError, np.linalg.LinAlgError):
-            return _SENTINEL
-        return -ll if np.isfinite(ll) else _SENTINEL
-
-    def objective_grad(x):
-        try:
-            ll, _, _, g = model.loglik(x, grad=True)
-        except (ValueError, np.linalg.LinAlgError):
-            return _SENTINEL, np.zeros(x.size)
-        if not (np.isfinite(ll) and np.all(np.isfinite(g))):
-            return _SENTINEL, np.zeros(x.size)
-        return -ll, -g
-
     start = model.start
+    box = np.full(start.size, _BOX)
+    objective = _objective(lambda x, grad: itemgetter(0, 3)(model.loglik(x, grad)), box)
     if objective(start) >= _SENTINEL:
         try:
             model.loglik(start)
@@ -827,16 +924,8 @@ def _fit_strength(data, names, omega, gamma, maxfev):
             raise ValueError(
                 f"strength covariance is degenerate at the starting values: {exc}{hint}"
             ) from exc
-
-    res = optimize.minimize(
-        objective_grad, start, jac=True, method="L-BFGS-B", bounds=[(-_BOX, _BOX)] * start.size,
-        options={"maxfun": maxfev, "ftol": 1e-13, "gtol": 1e-8},
-    )
     # Variance-parameter uncertainty from the profile deviance (transformed scale).
-    if res.success and res.fun < _SENTINEL:
-        param_se = _standard_errors(objective, res.x, 1e-3)
-    else:
-        res, param_se = _minimize(objective, res.x, max(maxfev - res.nfev, 1), 1e-3)
+    res, param_se = _fit_box(objective, start, box, maxfev, 1e-3)
     if res.fun >= _SENTINEL:
         raise ValueError("no valid covariance parameters found during optimization")
     tau2, sigma_task, omega_m, gamma_m, om_x, _ = model.unpack(res.x)
@@ -889,17 +978,26 @@ def twopart_fit(
     on inter-task times (multi-task data only). Provided structure parameter
     values seed the optimizer; all free parameters are estimated.
 
-    The presence part maximizes its marginal likelihood with Nelder-Mead.
-    The strength part maximizes its profile likelihood with L-BFGS-B on the
-    exact gradient, every coordinate (log variances, transformed
-    correlation parameters) bounded to [-25, 25]. When L-BFGS-B does not
-    report success or ends at no valid point, Nelder-Mead continues from
-    where it stopped. maxfev caps the likelihood evaluations of each part's
-    optimizer; for the strength part it is shared by L-BFGS-B and the
-    fallback (L-BFGS-B may finish the line search under way). Standard
-    errors of the covariance parameters (`param_se`, on the optimizer's
-    scale) come from a central-difference Hessian, and are NaN for a
-    coordinate at or next to its bound.
+    Both parts maximize their likelihood - the presence part's marginal
+    likelihood, the strength part's profile likelihood - with L-BFGS-B on
+    its exact gradient, within a box on the optimizer's coordinates: beta
+    in [-40, 40] and log tau in [-12, 12] for presence, every coordinate
+    (log variances, transformed correlation parameters) in [-25, 25] for
+    strength. When L-BFGS-B does not report success or ends at no valid
+    point, Nelder-Mead continues from where it stopped. When the presence
+    tau tends to 0, the presence part also refits from the plain logistic
+    fit with log tau on its lower bound and keeps the better fit. maxfev
+    caps the likelihood evaluations of each part's optimizer, shared by
+    L-BFGS-B and the fallback (L-BFGS-B may finish the line search under
+    way). Standard errors of the presence coefficients and of the strength
+    covariance parameters (`param_se`, on the optimizer's scale) come from
+    the inverse Hessian, by central differences of the exact gradient. A
+    coordinate at or next to its bound gets NaN, and so does one whose
+    estimate +- 2 SE leaves its box (a variance so flat towards 0 that its
+    local standard error means nothing); the other standard errors are
+    then taken with those coordinates held fixed. After the Nelder-Mead
+    fallback the Hessian comes from value differences, and only the first
+    rule applies.
     """
     presence = _fit_presence(data, presence_formula, quad_points, maxfev)
     strength = _fit_strength(data, strength_formula, omega, gamma, maxfev)

@@ -43,3 +43,15 @@ def test_noisy_pairs_are_unresolved():
 def test_median_paired_difference_is_reported():
     (row,) = bench_pair.summarize(runs(PARENT), runs([v * 1.02 for v in PARENT]), {"m": ("lower", 0.05)})
     assert row[-3] == pytest.approx(0.02)
+
+
+def test_unresolved_metric_lists_its_paired_differences():
+    # peak memory with two levels by seed: the change lowers the high seeds
+    # by 15 MB and leaves the low ones, so the pairs spread too widely
+    parent = [104.4, 122.7, 106.2, 106.5, 119.7, 104.2, 122.6, 122.6, 119.3, 122.6]
+    change = [v - 15.0 if v > 110 else v + 0.1 for v in parent]
+    assert verdict(parent, change) == ("unresolved", False)
+    lines = bench_pair.paired_lines(range(1, 11), runs(parent), runs(change), "m", "lower")
+    assert len(lines) == 10
+    assert lines[0] == "  seed 1: parent 104.4 change 104.5 diff +0.1%"
+    assert lines[1] == "  seed 2: parent 122.7 change 107.7 diff -12.2%"

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from fcnets.estimators import (
     ConnectionMatrix,
     DelayEmbedding,
+    _neighbor_indices,
     coherence_matrix,
     correlation_matrix,
     estimate,
@@ -140,6 +142,37 @@ def test_synchronization_counts_match_pairwise_neighbor_sets(rng):
         for j in range(i + 1, 5):
             shared = sum(len(a & b) for a, b in zip(neighbors[i], neighbors[j]))
             assert cm.values[i, j] == cm.values[j, i] == shared / (B * k)
+
+
+def test_synchronization_neighbours_with_ties_at_the_kth_distance(rng):
+    # a period-5 integer series repeats each delay vector every 5 samples:
+    # its distances are exact integers and rows tie at their k-th distance
+    T = 90
+    x = np.vstack([np.tile([0.0, 1.0, 3.0, 2.0, 5.0], T // 5), rng.standard_normal(T)])
+    embed = DelayEmbedding()
+    k, B = embed.neighbor_count, embed.vector_count(T)
+    excluded = np.abs(np.subtract.outer(np.arange(B), np.arange(B))) < embed.window()
+    oracle, tied = [], []
+    for series, idx in zip(x, _neighbor_indices(x, embed)):
+        v = series[np.arange(B)[:, None] + embed.lag * np.arange(embed.dim)]
+        d2 = cdist(v, v, "sqeuclidean")
+        d2[excluded] = np.inf
+        kth = np.sort(d2, axis=1)[:, k - 1 : k]
+        assert idx.shape == (B, k)
+        assert all(len(set(row)) == k for row in idx.tolist())
+        assert np.all(np.take_along_axis(d2, idx, axis=1) <= kth)
+        tied.append(np.count_nonzero(d2 <= kth) > B * k)
+        if tied[-1]:
+            # which tied vectors count is argpartition's choice, on the same exact distances
+            expected = np.argpartition(d2, k - 1, axis=1)[:, :k]
+            np.testing.assert_array_equal(idx, expected)
+        else:
+            expected = np.argsort(d2, axis=1)[:, :k]
+            assert [set(r) for r in idx.tolist()] == [set(r) for r in expected.tolist()]
+        oracle.append([set(r) for r in expected.tolist()])
+    assert tied == [True, False]
+    shared = sum(len(a & b) for a, b in zip(*oracle))
+    assert synchronization_matrix(x, embed).values[0, 1] == shared / (B * k)
 
 
 def test_connection_matrix_roundtrip(tmp_path, rng):

@@ -1,10 +1,15 @@
 """Two-part dyad model: structures, dataset assembly, both likelihood parts."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit
 
+from fcnets import twopart
 from fcnets.estimators import ConnectionMatrix
 from fcnets.twopart import (
     _KINDS,
@@ -12,6 +17,8 @@ from fcnets.twopart import (
     _SENTINEL,
     STRUCTURE_KINDS,
     _minimize,
+    _presence_marginal,
+    _standard_errors,
     _OmegaParam,
     _StrengthDesign,
     _strength_loglik,
@@ -673,3 +680,148 @@ def test_strength_fit_falls_back_to_nelder_mead(monkeypatch):
     assert model.loglik(model.start)[0] < 370.0
     assert s.loglik > 410.0
     assert all(np.isfinite(v) for v in s.param_se.values())
+
+
+def test_strength_se_is_nan_for_a_flat_variance(identical_subject_fit):
+    # five identical subjects: the subject variance tends to zero and
+    # L-BFGS-B stops in the flat region short of the bound, at log tau2 near
+    # -23.2, where the local standard error (about 1,600) reaches far past it
+    _, fit = identical_subject_fit
+    s = fit.strength
+    assert -25.0 < np.log(s.tau2) < -20.0
+    assert np.isnan(s.param_se["log_tau2"])
+    assert np.isfinite(s.param_se["log_sigma2_task0"]) and s.param_se["log_sigma2_task0"] > 0.01
+
+
+def test_standard_errors_are_nan_where_two_se_leave_the_box():
+    # the second coordinate's curvature is so small that x +- 2 SE leaves
+    # |x| <= 40: it gets NaN, and the first coordinate's SE is taken with the
+    # second held fixed, 1 / sqrt(H[0, 0]), not the marginal one (which is 1)
+    H = np.array([[2.0, 1e-3], [1e-3, 1e-6]])
+
+    def objective(x, grad=False):
+        if np.max(np.abs(x)) > 40:
+            return (_SENTINEL, np.zeros(2)) if grad else _SENTINEL
+        return (0.5 * x @ H @ x, H @ x) if grad else 0.5 * x @ H @ x
+
+    x = np.array([0.3, -1.0])
+    for grad in (True, False):
+        assert _standard_errors(objective, x, 1e-4, grad=grad) == pytest.approx([1.0, np.sqrt(2e6)], rel=1e-3)
+        se = _standard_errors(objective, x, 1e-4, np.full(2, 40.0), grad=grad)
+        assert np.isnan(se[1])
+        assert se[0] == pytest.approx(1 / np.sqrt(2.0), rel=1e-6)
+
+
+# --- presence gradient, gradient-difference standard errors ---
+
+
+@pytest.mark.parametrize("tasks", [1, 2])
+@pytest.mark.parametrize("quad_points", [5, 20])
+@pytest.mark.parametrize("covariate", [False, True], ids=["intercept", "covariate"])
+def test_presence_gradient_matches_central_differences(covariate, quad_points, tasks):
+    rng = np.random.default_rng(quad_points + 10 * tasks + covariate)
+    rows = 10 * tasks
+    present = [rng.permutation(rows)[: rng.integers(1, rows)] for _ in range(6)]
+    data = dyad_data(rng, 5, 6, tasks=tasks, present=present, covariate=covariate)
+    X = data.design(("intercept", "x") if covariate else ("intercept",))
+    nodes, weights = hermgauss(quad_points)
+
+    def loglik(x, grad=False):
+        return _presence_marginal(x, X, data.v, data.subject, data.n_subjects, nodes, weights, grad)
+
+    for log_tau in np.linspace(-3.0, 1.0, 5):
+        x = np.append(rng.uniform(-1.0, 1.0, X.shape[1]), log_tau)
+        ll, g = loglik(x, grad=True)
+        assert ll == loglik(x)[0]
+        num = np.zeros(x.size)
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = 1e-4
+            diff = [(loglik(x + k * e)[0] - loglik(x - k * e)[0]) / (2e-4 * k) for k in (1, 0.5)]
+            num[i] = (4 * diff[1] - diff[0]) / 3  # Richardson: error O(step^4)
+        np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-5)
+
+
+def group_models_studies(seed):
+    """The benchmark's two dyad studies for one seed, as (data, twopart_fit options)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    d = inputs.group_models_inputs(seed)
+    options = {
+        "single_task": {"omega": CorrelationStructure("lear", rho=0.5, delta=1.0)},
+        "two_task": {"gamma": "unstructured"},
+    }
+    for study, opts in options.items():
+        mats = [[ConnectionMatrix(m, "correlation", {}) for m in task] for task in d[study]["matrices"]]
+        data = build_dyad_dataset(mats, coordinates=d[study]["coordinates"])
+        yield data, {"maxfev": inputs.DYAD_MAXFEV, **opts}
+
+
+def recorded_fits(monkeypatch):
+    """Every `_fit_box` call of the fits that follow: (objective, optimum, box, step, SEs)."""
+    calls = []
+    fit_box = twopart._fit_box
+
+    def recording(objective, start, box, maxfev, step):
+        res, se = fit_box(objective, start, box, maxfev, step)
+        calls.append((objective, res.x, box, step, se))
+        return res, se
+
+    monkeypatch.setattr(twopart, "_fit_box", recording)
+    return calls
+
+
+def test_gradient_difference_se_match_value_differences(monkeypatch):
+    calls = recorded_fits(monkeypatch)
+    for seed in range(1000, 1005):
+        c08_fit(seed)
+    for data, options in group_models_studies(1):
+        twopart_fit(data, **options)
+    assert len(calls) >= 14
+    for objective, x, box, step, se in calls:
+        by_gradient = _standard_errors(objective, x, step, box, grad=True)
+        np.testing.assert_array_equal(se, by_gradient)
+        by_value = _standard_errors(objective, x, step, box)
+        assert np.array_equal(np.isnan(by_value), np.isnan(by_gradient))
+        np.testing.assert_allclose(by_gradient, by_value, rtol=1e-3)
+
+
+def test_presence_fit_falls_back_to_nelder_mead(monkeypatch):
+    # as in the strength test: a gradient of the wrong sign fails L-BFGS-B,
+    # and Nelder-Mead, which uses values only, continues to the same optimum
+    mats, coords = simulate_dyad_study(1078)
+    data = build_dyad_dataset(mats, coordinates=coords)
+    p = twopart_fit(data, omega=CorrelationStructure("lear"), maxfev=1500).presence
+    marginal, minimize, fallbacks = twopart._presence_marginal, twopart._minimize, []
+
+    def flipped(*args, **kwargs):
+        ll, g = marginal(*args, **kwargs)
+        return ll, None if g is None else -g
+
+    def counted(*args):
+        fallbacks.append(args)
+        return minimize(*args)
+
+    monkeypatch.setattr(twopart, "_presence_marginal", flipped)
+    monkeypatch.setattr(twopart, "_minimize", counted)
+    q = twopart._fit_presence(data, ("intercept",), 20, 1500)
+    assert len(fallbacks) == 1
+    assert q.converged
+    assert q.loglik == pytest.approx(p.loglik, abs=1e-8)
+    assert q.beta == pytest.approx(p.beta, abs=1e-5)
+    assert q.tau == pytest.approx(p.tau, rel=1e-4)
+    assert q.se == pytest.approx(p.se, rel=1e-3)
+
+
+def test_presence_fit_reaches_a_variance_on_its_bound():
+    # criterion-08 replicate 1083: the presence likelihood rises as tau -> 0
+    # so slowly that L-BFGS-B from the usual start stops at tau = 1.4e-4,
+    # 3.2e-7 short; the refit from the plain logistic fit on the bound ends there
+    mats, coords = simulate_dyad_study(1083)
+    p = twopart._fit_presence(build_dyad_dataset(mats, coordinates=coords), ("intercept",), 20, 1500)
+    assert p.converged
+    assert p.tau == pytest.approx(np.exp(-12.0), rel=1e-9)
+    assert p.loglik >= -260.339895438708 - 1e-9
+    assert np.isfinite(p.se[0])
