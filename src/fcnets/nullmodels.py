@@ -168,6 +168,8 @@ def small_world(
     Ensemble members use seeds derived from (seed, member index), so serial
     and parallel runs agree bit for bit.
     """
+    if null_count < 1:
+        raise ValueError(f"null_count must be >= 1, got {null_count}")
     C, L, restricted = _cl_stats(g, clustering_variant)
     payloads = [
         (g, swaps_per_edge, derive_seed(seed, "null", i), clustering_variant)

@@ -11,6 +11,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -27,6 +28,9 @@ class BandSpec:
             raise ValueError(f"band must satisfy 0 <= low < high, got ({self.low_hz}, {self.high_hz})")
 
     def validate_for(self, sampling_interval):
+        finite = isinstance(sampling_interval, Real) and np.isfinite(sampling_interval)
+        if not (finite and sampling_interval > 0):
+            raise ValueError(f"sampling interval must be a finite number > 0, got {sampling_interval!r}")
         nyquist = 1.0 / (2.0 * sampling_interval)
         if self.high_hz > nyquist + 1e-12:
             raise ValueError(

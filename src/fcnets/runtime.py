@@ -49,11 +49,12 @@ def parallel_map(fn, items, workers=None):
 
     Results come back in input order regardless of completion order, so the
     output is identical for any worker count. fn must be picklable
-    (module-level) when workers > 1.
+    (module-level) when workers > 1. The pool has at most one worker per
+    item: under fork it starts all its workers at once.
     """
-    nw = resolve_workers(workers)
     items = list(items)
-    if nw == 1 or len(items) <= 1:
+    nw = min(resolve_workers(workers), len(items))
+    if nw <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=nw) as pool:
         return list(pool.map(fn, items))

@@ -13,10 +13,14 @@ likelihood gathers all block covariances with one `take`, factors the
 stack with one batched Cholesky and solves for [X y] in one call; those
 factors give the GLS coefficients, the log-likelihood and its exact
 gradient (with the GLS coefficients profiled out). The presence
-likelihood's gradient comes through the quadrature's Laplace mode. Both
-parts are maximized by L-BFGS-B within box bounds, with Nelder-Mead as the
-fallback when it fails, and their standard errors come from differences
-of the exact gradient.
+likelihood's gradient comes through the quadrature's Laplace mode. Each
+part's subject variance is optimized as a standard deviation on a closed
+interval that starts at 0 (presence tau, strength tau over the OLS
+residual standard deviation), so a fit can end with the variance at 0.
+Both parts are maximized by L-BFGS-B within bounds, with Nelder-Mead as
+the fallback when it fails, and their standard errors come from
+differences of the exact gradient: NaN where the difference stencil meets
+a bound.
 Each correlation kind is stated once, in `_KINDS` (its parameters, its
 kernel over distances and that kernel's derivatives), and each parameter
 once, in `_PARAMS` (its range, its optimizer transform with that
@@ -364,26 +368,7 @@ def build_dyad_dataset(
     return data
 
 
-_SENTINEL = 1e10  # objective value outside the optimizer's box or where the likelihood fails
-
-
-def _fd_hessian(f, x, h):
-    """Central-difference Hessian of f at x with per-coordinate steps h, and
-    which of its entries had a stencil point where f met the sentinel."""
-    p = x.size
-    H = np.zeros((p, p))
-    hit = np.zeros((p, p), dtype=bool)
-    for a in range(p):
-        for b in range(a, p):
-            ea = np.zeros(p); ea[a] = h[a]
-            eb = np.zeros(p); eb[b] = h[b]
-            f_pp = f(x + ea + eb)
-            f_pm = f(x + ea - eb)
-            f_mp = f(x - ea + eb)
-            f_mm = f(x - ea - eb)
-            H[a, b] = H[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4 * h[a] * h[b])
-            hit[a, b] = hit[b, a] = max(f_pp, f_pm, f_mp, f_mm) >= _SENTINEL
-    return H, hit
+_SENTINEL = 1e10  # objective value outside the optimizer's bounds or where the likelihood fails
 
 
 def _gradient_hessian(objective, x, h):
@@ -402,62 +387,41 @@ def _gradient_hessian(objective, x, h):
     return (H + H.T) / 2, hit
 
 
-def _standard_errors(objective, x, step, box=np.inf, grad=False):
+def _standard_errors(objective, x, step):
     """Each coordinate's standard error from the inverse Hessian at x, by
-    central differences with steps step * (1 + |x|): of the exact gradient
-    with grad (`_gradient_hessian`), else of the values (`_fd_hessian`).
+    central differences of the exact gradient with steps step * (1 + |x|)
+    (`_gradient_hessian`).
 
-    A coordinate gets NaN when its stencil meets the sentinel - it is at or
-    next to the box the objective allows - and when x +- 2 SE leaves its
-    box, where the likelihood is too flat for a local standard error to
-    mean anything. The others come from the Hessian over the coordinates
-    left. Also NaN where a variance is not positive or that Hessian is
-    singular.
+    A coordinate gets NaN when its stencil meets the sentinel: it is on or
+    next to a bound, or the likelihood fails there. The others come from
+    the Hessian over the coordinates left, and are NaN where a variance is
+    not positive or that Hessian is singular.
     """
-    h = step * (1.0 + np.abs(x))
-    if grad:
-        H, bad = _gradient_hessian(objective, x, h)
-    else:
-        H, hit = _fd_hessian(objective, x, h)
-        bad = np.diag(hit).copy()
-        bad |= np.any(hit & ~bad[:, None] & ~bad[None, :], axis=1)
-    while True:
-        se = np.full(x.size, np.nan)
-        keep = np.flatnonzero(~bad)
-        if keep.size:
-            try:
-                var = np.diag(np.linalg.inv(H[np.ix_(keep, keep)]))
-            except np.linalg.LinAlgError:
-                return se
-            se[keep] = np.sqrt(np.where(var > 0, var, np.nan))
-        flat = np.abs(x) + 2 * se > box
-        if not flat.any():
+    H, bad = _gradient_hessian(objective, x, step * (1.0 + np.abs(x)))
+    se = np.full(x.size, np.nan)
+    keep = np.flatnonzero(~bad)
+    if keep.size:
+        try:
+            var = np.diag(np.linalg.inv(H[np.ix_(keep, keep)]))
+        except np.linalg.LinAlgError:
             return se
-        bad |= flat
+        se[keep] = np.sqrt(np.where(var > 0, var, np.nan))
+    return se
 
 
-def _minimize(objective, start, maxfev, step):
-    """Nelder-Mead from start, then standard errors at the optimum from the
-    values (`_standard_errors`, with no box)."""
-    res = optimize.minimize(
-        objective, start, method="Nelder-Mead",
-        options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-9},
-    )
-    return res, _standard_errors(objective, res.x, step)
-
-
-def _objective(loglik, box):
+def _objective(loglik, lower, upper):
     """The negative log-likelihood that the optimizers minimize.
 
     loglik(x, grad) -> (log-likelihood, its gradient or None). The result
     objective(x, grad=False) is the value, or with grad (value, gradient);
-    outside |x| <= box, where loglik raises ValueError or LinAlgError, and
-    where either is not finite it is the sentinel (with a zero gradient).
+    outside lower <= x <= upper, where loglik raises ValueError or
+    LinAlgError, and where either is not finite it is the sentinel (with a
+    zero gradient).
     """
 
     def objective(x, grad=False):
         ll, g = np.nan, None
-        if np.all(np.abs(x) <= box):
+        if np.all((lower <= x) & (x <= upper)):
             try:
                 ll, g = loglik(x, grad=grad)
             except (ValueError, np.linalg.LinAlgError):
@@ -470,23 +434,36 @@ def _objective(loglik, box):
     return objective
 
 
-def _fit_box(objective, start, box, maxfev, step):
-    """Minimize an `_objective` within |x| <= box; (result, standard errors).
+def _fit_box(objective, start, lower, upper, maxfev, step):
+    """Minimize an `_objective` within lower <= x <= upper; (result,
+    standard errors).
 
     L-BFGS-B on the exact gradient (ftol 1e-13, gtol 1e-8, at most maxfev
-    evaluations), with standard errors from gradient differences, NaN where
-    x +- 2 SE leaves the box. When it does not report success or ends on
-    the sentinel, Nelder-Mead continues from where it stopped with the
-    evaluations left (`_minimize`), and the standard errors come from value
-    differences with the sentinel rule alone.
+    evaluations). When it does not report success or ends on the sentinel,
+    Nelder-Mead continues from where it stopped with the evaluations left.
+    Then, as lme4's boundary check does, the coordinates that lie within
+    their standard-error step of a bound move onto it when the objective
+    there is no higher, to L-BFGS-B's relative tolerance: a variance that
+    tends to 0 is approached along a likelihood flat to first order, which
+    neither optimizer follows all the way. The standard errors come from
+    gradient differences at the optimum (`_standard_errors`).
     """
     res = optimize.minimize(
         objective, start, args=(True,), jac=True, method="L-BFGS-B",
-        bounds=np.column_stack([-box, box]), options={"maxfun": maxfev, "ftol": 1e-13, "gtol": 1e-8},
+        bounds=np.column_stack([lower, upper]), options={"maxfun": maxfev, "ftol": 1e-13, "gtol": 1e-8},
     )
-    if res.success and res.fun < _SENTINEL:
-        return res, _standard_errors(objective, res.x, step, box, grad=True)
-    return _minimize(objective, res.x, max(maxfev - res.nfev, 1), step)
+    if not res.success or res.fun >= _SENTINEL:
+        res = optimize.minimize(
+            objective, res.x, method="Nelder-Mead",
+            options={"maxfev": max(maxfev - res.nfev, 1), "xatol": 1e-7, "fatol": 1e-9},
+        )
+    h = step * (1.0 + np.abs(res.x))
+    edge = np.where(res.x - lower < h, lower, np.where(upper - res.x < h, upper, res.x))
+    if np.any(edge != res.x):
+        f_edge = objective(edge)
+        if f_edge - res.fun <= 1e-13 * max(abs(res.fun), 1.0):
+            res.x, res.fun = edge, f_edge
+    return res, _standard_errors(objective, res.x, step)
 
 
 # ---------------------------------------------------------------------------
@@ -495,68 +472,73 @@ def _fit_box(objective, start, box, maxfev, step):
 
 def _presence_marginal(params, X, y, subj, n_subjects, nodes, weights, grad=False):
     """Marginal log-likelihood via Laplace-centered Gauss-Hermite quadrature,
-    and with grad its gradient over params = [beta, log tau]; else None.
+    and with grad its gradient over params = [beta, tau]; else None.
 
-    Subject s's log integrand g(u) = sum of its rows' log p(y | eta + u) plus
-    log N(u; 0, tau^2) has mode u* and sigma* = (-g''(u*))^-1/2, and is
-    evaluated at the nodes d_q = u* + sqrt(2) sigma* x_q. The gradient
-    differentiates through the mode (Pinheiro & Bates 1995): with P_q the
-    normalised quadrature terms, d/dtheta = sum_q P_q [dg(d_q)/dtheta +
-    g'(d_q) (du*/dtheta + sqrt(2) x_q dsigma*/dtheta)] + (dsigma*/dtheta) /
-    sigma*, where du* = -d_theta g'(u*) / g''(u*) and dsigma* =
-    sigma*^3 (d_theta g''(u*) + g'''(u*) du*) / 2.
+    Subject s's random intercept is tau z with z standard normal (lme4's
+    GLMM form), so the integrand stays regular at tau = 0, where the model
+    is the plain logistic one. Its log integrand g(z) = sum of its rows'
+    log p(y | eta + tau z) plus log N(z; 0, 1) has mode z* and sigma* =
+    (-g''(z*))^-1/2, and is evaluated at the nodes d_q = z* + sqrt(2)
+    sigma* x_q. The gradient differentiates through the mode (Pinheiro &
+    Bates 1995): with P_q the normalised quadrature terms, d/dtheta =
+    sum_q P_q [dg(d_q)/dtheta + g'(d_q) (dz*/dtheta + sqrt(2) x_q
+    dsigma*/dtheta)] + (dsigma*/dtheta) / sigma*, where dz* = -d_theta
+    g'(z*) / g''(z*) and dsigma* = sigma*^3 (d_theta g''(z*) + g'''(z*)
+    dz*) / 2.
     """
-    beta = params[:-1]
-    tau = float(np.exp(params[-1]))
+    beta, tau = params[:-1], float(params[-1])
     eta0 = X @ beta
-    u = np.zeros(n_subjects)
+
+    def by_subject(rows):  # (N, k) row values -> (S, k) subject sums
+        return np.stack([np.bincount(subj, weights=c, minlength=n_subjects) for c in rows.T], axis=1)
+
+    z = np.zeros(n_subjects)
     for _ in range(60):
-        mu = expit(eta0 + u[subj])
-        g1 = np.bincount(subj, weights=y - mu, minlength=n_subjects) - u / tau**2
-        hess = -np.bincount(subj, weights=mu * (1 - mu), minlength=n_subjects) - 1 / tau**2
-        step = np.clip(g1 / (-hess), -5.0, 5.0)
-        u = u + step
+        mu = expit(eta0 + tau * z[subj])
+        g1 = tau * np.bincount(subj, weights=y - mu, minlength=n_subjects) - z
+        hess = -(tau**2) * np.bincount(subj, weights=mu * (1 - mu), minlength=n_subjects) - 1
+        z = z + np.clip(g1 / (-hess), -5.0, 5.0)
         if np.max(np.abs(g1)) < 1e-10:
             break
-    mu = expit(eta0 + u[subj])
-    hess = -np.bincount(subj, weights=mu * (1 - mu), minlength=n_subjects) - 1 / tau**2
+    mu = expit(eta0 + tau * z[subj])
+    w = mu * (1 - mu)
+    w3 = w * (1 - 2 * mu)
+    # subject sums of y - mu, w and w3: g' = tau s_r - z, g'' = -tau^2 s_w - 1
+    s_r, s_w, s_w3 = by_subject(np.column_stack([y - mu, w, w3])).T
+    hess = -(tau**2) * s_w - 1
     sigma_star = 1.0 / np.sqrt(-hess)
-    # Evaluate g at shifted nodes d_q = u* + sqrt(2) sigma* x_q, all subjects at once.
-    d = u[None, :] + np.sqrt(2.0) * sigma_star[None, :] * nodes[:, None]  # (Q, S)
-    eta = eta0[None, :] + d[:, subj]  # (Q, N)
+    # Evaluate g at shifted nodes d_q = z* + sqrt(2) sigma* x_q, all subjects at once.
+    d = z[None, :] + np.sqrt(2.0) * sigma_star[None, :] * nodes[:, None]  # (Q, S)
+    eta = eta0[None, :] + tau * d[:, subj]  # (Q, N)
     row_ll = y[None, :] * eta - np.logaddexp(0.0, eta)
     # one bincount over (node, subject) cells adds each cell's rows in row order
     cells = (np.arange(nodes.size)[:, None] * n_subjects + subj).ravel()
     size = nodes.size * n_subjects
     g = np.bincount(cells, weights=row_ll.ravel(), minlength=size).reshape(nodes.size, n_subjects)
-    g += -0.5 * (d / tau) ** 2 - np.log(tau) - 0.5 * np.log(2 * np.pi)
+    g += -0.5 * d**2 - 0.5 * np.log(2 * np.pi)
     log_terms = np.log(weights)[:, None] + nodes[:, None] ** 2 + g
     norm = logsumexp(log_terms, axis=0)
     total = float(np.sum(norm + 0.5 * np.log(2.0) + np.log(sigma_star)))
     if not grad:
         return total, None
 
-    def by_subject(rows):  # (N, k) row values -> (S, k) subject sums
-        return np.stack([np.bincount(subj, weights=c, minlength=n_subjects) for c in rows.T], axis=1)
-
-    # at the mode: derivatives of g' and g'' over [beta, log tau], and g'''
-    w = mu * (1 - mu)
-    Xw = np.column_stack([X, np.zeros(y.size)])  # log tau enters through the prior only
-    dg1 = -by_subject(w[:, None] * Xw)
-    dg1[:, -1] = 2 * u / tau**2
-    dg2 = -by_subject((w * (1 - 2 * mu))[:, None] * Xw)
-    dg2[:, -1] = 2 / tau**2
-    g3 = -np.bincount(subj, weights=w * (1 - 2 * mu), minlength=n_subjects)
-    du = -dg1 / hess[:, None]
-    dsigma = 0.5 * sigma_star[:, None] ** 3 * (dg2 + g3[:, None] * du)
+    # at the mode: derivatives of g' and g'' over [beta, tau], and g'''
+    dg1 = np.column_stack([-tau * by_subject(w[:, None] * X), s_r - tau * z * s_w])
+    dg2 = np.column_stack([
+        -(tau**2) * by_subject(w3[:, None] * X), -2 * tau * s_w - tau**2 * z * s_w3
+    ])
+    g3 = -(tau**3) * s_w3
+    dz = -dg1 / hess[:, None]
+    dsigma = 0.5 * sigma_star[:, None] ** 3 * (dg2 + g3[:, None] * dz)
     # at the nodes: g'(d_q), and g's own derivative weighted by P_q
     P = np.exp(log_terms - norm)  # (Q, S)
     resid = y[None, :] - expit(eta)  # (Q, N)
-    g1_nodes = np.bincount(cells, weights=resid.ravel(), minlength=size).reshape(P.shape) - d / tau**2
-    direct = np.append(X.T @ np.sum(P[:, subj] * resid, axis=0), np.sum(P * ((d / tau) ** 2 - 1)))
+    r_nodes = np.bincount(cells, weights=resid.ravel(), minlength=size).reshape(P.shape)
+    g1_nodes = tau * r_nodes - d
+    direct = np.append(X.T @ np.sum(P[:, subj] * resid, axis=0), np.sum(P * r_nodes * d))
     a = np.sum(P * g1_nodes, axis=0)
     b = np.sqrt(2.0) * np.sum(P * g1_nodes * nodes[:, None], axis=0)
-    return total, direct + a @ du + b @ dsigma + np.sum(dsigma / sigma_star[:, None], axis=0)
+    return total, direct + a @ dz + b @ dsigma + np.sum(dsigma / sigma_star[:, None], axis=0)
 
 
 @dataclass
@@ -589,24 +571,18 @@ def _fit_presence(data, names, quad_points, maxfev):
         beta = beta + np.clip(step, -3, 3)
         if np.max(np.abs(grad)) < 1e-8:
             break
-    start = np.concatenate([beta, [np.log(0.5)]])
-    box = np.append(np.full(X.shape[1], 40.0), 12.0)  # beta, log tau
+    lower = np.append(np.full(X.shape[1], -40.0), 0.0)  # beta, tau
+    upper = np.append(np.full(X.shape[1], 40.0), np.exp(12.0))
     objective = _objective(
-        lambda x, grad: _presence_marginal(x, X, y, subj, data.n_subjects, nodes, weights, grad), box
+        lambda x, grad: _presence_marginal(x, X, y, subj, data.n_subjects, nodes, weights, grad),
+        lower, upper,
     )
-    res, se = _fit_box(objective, start, box, maxfev, 1e-4)
-    if np.isnan(se[-1]) and res.x[-1] < 0:
-        # tau tends to 0, where the likelihood is too flat for L-BFGS-B to
-        # follow to the bound; on the bound the model is the plain logistic
-        # one, so refit from that fit there and keep the better of the two
-        low = _fit_box(objective, np.append(beta, -box[-1]), box, max(maxfev - res.nfev, 1), 1e-4)
-        if low[0].fun < res.fun:
-            res, se = low
+    res, se = _fit_box(objective, np.append(beta, 0.5), lower, upper, maxfev, 1e-4)
     return PresenceFit(
         names=tuple(names),
         beta=res.x[:-1],
         se=se[:-1],
-        tau=float(np.exp(res.x[-1])),
+        tau=float(res.x[-1]),
         loglik=-float(res.fun),
         converged=bool(res.success),
         quad_points=quad_points,
@@ -857,16 +833,18 @@ class StrengthFit:
 
 class _StrengthModel:
     """The strength log-likelihood over the optimizer's coordinates
-    [log tau2, log sigma_t^2 (T), Omega params, Gamma params]."""
+    [theta, log sigma_t^2 (T), Omega params, Gamma params], where theta =
+    tau / s is the subject standard deviation relative to s, the standard
+    deviation of the OLS residuals: tau2 = s^2 theta^2."""
 
     def __init__(self, data, names, omega, gamma):
         self.design = design = _StrengthDesign(data, names)
         self.om = _OmegaParam(omega or CorrelationStructure("identity"), data.dyad_distances, design.n_dyads)
         self.gamma_kind, self.gm = _gamma_param(gamma, data)
         ols_beta, *_ = np.linalg.lstsq(design.X, design.y, rcond=None)
-        ols_var = float(np.var(design.y - design.X @ ols_beta)) or 1e-4
+        self.ols_var = ols_var = float(np.var(design.y - design.X @ ols_beta)) or 1e-4
         self.start = np.concatenate([
-            [np.log(max(0.2 * ols_var, 1e-6))], [np.log(max(0.8 * ols_var, 1e-6))] * design.n_tasks,
+            [np.sqrt(0.2)], [np.log(max(0.8 * ols_var, 1e-6))] * design.n_tasks,
             self.om.start, self.gm.start,
         ])
 
@@ -874,7 +852,7 @@ class _StrengthModel:
         """(tau2, sigma_task, Omega, Gamma, Omega coordinates, Gamma coordinates) at x."""
         T, n_om = self.design.n_tasks, self.om.start.size
         om_x, gm_x = x[1 + T : 1 + T + n_om], x[1 + T + n_om :]
-        tau2 = float(np.exp(x[0]))
+        tau2 = self.ols_var * float(x[0]) ** 2
         sigma_task = np.sqrt(np.exp(x[1 : 1 + T]))
         return tau2, sigma_task, self.om.matrix(om_x), self.gm.matrix(gm_x), om_x, gm_x
 
@@ -892,7 +870,7 @@ class _StrengthModel:
         d_omega = np.einsum("idje,ij->de", d_full, gamma_m * scale)
         d_sigma = d_task * gamma_m * scale
         g = np.concatenate([
-            [d_full.sum() * tau2],
+            [d_full.sum() * 2 * self.ols_var * x[0]],
             (d_sigma.sum(axis=0) + d_sigma.sum(axis=1)) / 2,
             np.einsum("kde,de->k", self.om.grads(om_x), d_omega),
             np.einsum("kij,ij->k", self.gm.grads(gm_x), d_task * scale),
@@ -900,38 +878,35 @@ class _StrengthModel:
         return ll, beta, xtx, g
 
 
-_BOX = 25.0  # bound on every strength coordinate
-
-
 def _fit_strength(data, names, omega, gamma, maxfev):
     model = _StrengthModel(data, names, omega, gamma)
-    start = model.start
-    box = np.full(start.size, _BOX)
-    objective = _objective(lambda x, grad: itemgetter(0, 3)(model.loglik(x, grad)), box)
-    if objective(start) >= _SENTINEL:
-        try:
-            model.loglik(start)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            hint = ""
-            if data.dyad_distances is not None:
-                off = data.dyad_distances[~np.eye(model.design.n_dyads, dtype=bool)]
-                if off.size and float(off.min()) == 0.0:
-                    hint = (
-                        "; distinct dyads share a midpoint, which makes "
-                        "distance-kernel correlations singular - use "
-                        "compound_symmetry or perturb the coordinates"
-                    )
-            raise ValueError(
-                f"strength covariance is degenerate at the starting values: {exc}{hint}"
-            ) from exc
-    # Variance-parameter uncertainty from the profile deviance (transformed scale).
-    res, param_se = _fit_box(objective, start, box, maxfev, 1e-3)
+    try:
+        model.loglik(model.start)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        hint = ""
+        if data.dyad_distances is not None:
+            off = data.dyad_distances[~np.eye(model.design.n_dyads, dtype=bool)]
+            if off.size and float(off.min()) == 0.0:
+                hint = (
+                    "; distinct dyads share a midpoint, which makes "
+                    "distance-kernel correlations singular - use "
+                    "compound_symmetry or perturb the coordinates"
+                )
+        raise ValueError(
+            f"strength covariance is degenerate at the starting values: {exc}{hint}"
+        ) from exc
+    # theta in [0, e^12.5 / s], so tau2 <= e^25; every other coordinate in [-25, 25]
+    upper = np.append(np.exp(12.5) / np.sqrt(model.ols_var), np.full(model.start.size - 1, 25.0))
+    lower = np.append(0.0, -upper[1:])
+    objective = _objective(lambda x, grad: itemgetter(0, 3)(model.loglik(x, grad)), lower, upper)
+    # Variance-parameter uncertainty from the profile deviance (optimizer's scale).
+    res, param_se = _fit_box(objective, model.start, lower, upper, maxfev, 1e-3)
     if res.fun >= _SENTINEL:
         raise ValueError("no valid covariance parameters found during optimization")
     tau2, sigma_task, omega_m, gamma_m, om_x, _ = model.unpack(res.x)
     ll, beta, xtx, _ = model.loglik(res.x)
     labels = (
-        ["log_tau2"]
+        ["tau_over_s"]
         + [f"log_sigma2_task{t}" for t in range(sigma_task.size)]
         + [f"omega_{n}" for n in model.om.names]
         + [f"gamma_{i}" for i in range(model.gm.start.size)]
@@ -980,24 +955,25 @@ def twopart_fit(
 
     Both parts maximize their likelihood - the presence part's marginal
     likelihood, the strength part's profile likelihood - with L-BFGS-B on
-    its exact gradient, within a box on the optimizer's coordinates: beta
-    in [-40, 40] and log tau in [-12, 12] for presence, every coordinate
-    (log variances, transformed correlation parameters) in [-25, 25] for
-    strength. When L-BFGS-B does not report success or ends at no valid
-    point, Nelder-Mead continues from where it stopped. When the presence
-    tau tends to 0, the presence part also refits from the plain logistic
-    fit with log tau on its lower bound and keeps the better fit. maxfev
+    its exact gradient, within bounds on the optimizer's coordinates.
+    Presence: beta in [-40, 40] and the subject standard deviation tau in
+    [0, e^12]. Strength: theta = tau / s in [0, e^12.5 / s], where s^2 is
+    the variance of the OLS residuals (so tau2 = s^2 theta^2 <= e^25), and
+    every other coordinate (log task variances, transformed correlation
+    parameters) in [-25, 25]. When L-BFGS-B does not report success or ends
+    at no valid point, Nelder-Mead continues from where it stopped. maxfev
     caps the likelihood evaluations of each part's optimizer, shared by
     L-BFGS-B and the fallback (L-BFGS-B may finish the line search under
-    way). Standard errors of the presence coefficients and of the strength
-    covariance parameters (`param_se`, on the optimizer's scale) come from
-    the inverse Hessian, by central differences of the exact gradient. A
-    coordinate at or next to its bound gets NaN, and so does one whose
-    estimate +- 2 SE leaves its box (a variance so flat towards 0 that its
-    local standard error means nothing); the other standard errors are
-    then taken with those coordinates held fixed. After the Nelder-Mead
-    fallback the Hessian comes from value differences, and only the first
-    rule applies.
+    way). A coordinate that ends within one standard-error step of a bound
+    is moved onto it when the likelihood there is no lower (to L-BFGS-B's
+    relative tolerance, 1e-13), so a variance that tends to 0 is reported
+    as 0. Standard errors of the presence coefficients and of the strength
+    covariance parameters (`param_se`, on the optimizer's scale, keyed
+    `tau_over_s`, `log_sigma2_task{t}`, `omega_{name}` and `gamma_{i}`)
+    come from the inverse Hessian, by central differences of the exact
+    gradient. One rule makes a standard error NaN: its difference stencil
+    meets a bound (or a point where the likelihood fails). The other
+    standard errors are then taken with those coordinates held fixed.
     """
     presence = _fit_presence(data, presence_formula, quad_points, maxfev)
     strength = _fit_strength(data, strength_formula, omega, gamma, maxfev)

@@ -89,6 +89,39 @@ def test_estimate_coherence_band_flag(capsys, tmp_path):
     assert vals.shape == (8, 8) and np.all(np.diag(vals) == 0)
 
 
+@pytest.mark.parametrize("interval", [0, -2.0, float("nan"), "2"])
+def test_estimate_coherence_rejects_a_bad_sampling_interval(capsys, tmp_path, interval):
+    code, out, err = run_cli(
+        capsys,
+        "estimate", "--in", DATA / "subject_0.csv",
+        "--measure", "coherence", "--band", "0.05,0.2",
+        "--params", json.dumps({"sampling_interval": interval}),
+        "--out", tmp_path / "coh.csv",
+    )
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert "sampling interval must be a finite number > 0" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"bandpass": [0.05, 0.2]}, {"estimator": {"name": "coherence", "params": {"band": [0.05, 0.2]}}}],
+    ids=["bandpass", "coherence"],
+)
+def test_pipeline_rejects_a_zero_sampling_interval(tmp_path, capsys, patch):
+    manifest = json.loads((DATA / "manifest.json").read_text())
+    manifest["subject_files"] = [str(DATA / f) for f in manifest["subject_files"]]
+    manifest["sampling_interval"] = 0
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    cfg = {**json.loads((DATA / "config.json").read_text()), **patch}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
+    assert code == 1 and out == ""
+    assert "sampling interval must be a finite number > 0, got 0.0" in json.loads(err)["message"]
+
+
 def test_invalid_config_exits_2_with_problem_list(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({

@@ -238,6 +238,12 @@ def test_small_world_deterministic_and_shared_ensemble(rng):
     assert par.sigma == a.sigma and par.omega == a.omega
 
 
+@pytest.mark.parametrize("null_count", [0, -1])
+def test_small_world_needs_a_null_graph(rng, null_count):
+    with pytest.raises(ValueError, match="null_count must be >= 1"):
+        small_world(watts_strogatz(20, 4, 0.1, rng), null_count=null_count)
+
+
 def test_small_world_disconnected_flagged(rng):
     core = watts_strogatz(30, 4, 0.1, rng)
     g = BinaryNetwork(31, core.edges)  # node 30 isolated

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fcnets import runtime
 from fcnets.runtime import derive_seed, parallel_map, rng_for, to_json
 
 
@@ -34,6 +35,30 @@ def test_parallel_map_matches_serial_order():
     items = list(range(20))
     assert parallel_map(_square, items, workers=1) == [x * x for x in items]
     assert parallel_map(_square, items, workers=4) == [x * x for x in items]
+
+
+def test_parallel_map_pool_has_at_most_one_worker_per_item(monkeypatch):
+    # a fake executor records the pool size and runs nothing in another process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(runtime, "ProcessPoolExecutor", FakePool)
+    assert parallel_map(_square, [2, 3], workers=8) == [4, 9]
+    assert parallel_map(_square, list(range(5)), workers=3) == [x * x for x in range(5)]
+    assert parallel_map(_square, [7], workers=8) == [49]
+    assert sizes == [2, 3]
 
 
 def test_to_json_deterministic_and_sorted():

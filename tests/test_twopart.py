@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from scipy import integrate, optimize
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit, logit
 
@@ -16,7 +17,8 @@ from fcnets.twopart import (
     _PARAMS,
     _SENTINEL,
     STRUCTURE_KINDS,
-    _minimize,
+    _fit_box,
+    _objective,
     _presence_marginal,
     _standard_errors,
     _OmegaParam,
@@ -351,7 +353,7 @@ def test_omega_exponential_over_midpoints(rng):
     assert np.linalg.eigvalsh(om).min() >= -1e-8
     assert fit.strength.omega.kind == "exponential" and fit.strength.omega.phi > 0
     assert "omega_phi" in fit.strength.param_se
-    assert "log_tau2" in fit.strength.param_se
+    assert "tau_over_s" in fit.strength.param_se
 
 
 def test_coincident_midpoints_raise_named_error(rng):
@@ -616,23 +618,29 @@ def test_strength_gradient_matches_central_differences(kind, gamma, complete):
         np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-5)
 
 
+def quadratic(H, centre):
+    """loglik(x, grad) of the negative quadratic 0.5 (x - centre)' H (x - centre)."""
+
+    def loglik(x, grad=False):
+        d = x - centre
+        return -0.5 * d @ H @ d, -(H @ d) if grad else None
+
+    return loglik
+
+
 def test_standard_errors_are_nan_at_a_bound():
-    # the minimum of this quadratic lies outside the box the objective allows
-    # (|x| <= 40), so Nelder-Mead stops on its edge in x0
+    # the minimum of this quadratic lies outside the bounds the objective
+    # allows (|x| <= 40), so L-BFGS-B stops on the bound in x0
     H = np.array([[2.0, 0.6], [0.6, 1.0]])
-
-    def objective(x):
-        if np.max(np.abs(x)) > 40:
-            return _SENTINEL
-        d = x - np.array([55.0, 1.0])
-        return 0.5 * d @ H @ d
-
-    res, se = _minimize(objective, np.array([30.0, 0.0]), 4000, 1e-4)
+    lower, upper = np.full(2, -40.0), np.full(2, 40.0)
+    objective = _objective(quadratic(H, np.array([55.0, 1.0])), lower, upper)
+    res, se = _fit_box(objective, np.array([30.0, 0.0]), lower, upper, 4000, 1e-4)
     assert res.x[0] == pytest.approx(40.0, abs=1e-4)
     assert np.isnan(se[0])
     assert se[1] == pytest.approx(1.0, rel=1e-4)  # 1 / sqrt(H[1, 1]), x0 held fixed
-    # inside the box every coordinate keeps its standard error
-    res, se = _minimize(lambda x: 0.5 * x @ H @ x, np.array([3.0, -2.0]), 4000, 1e-4)
+    # inside the bounds every coordinate keeps its standard error
+    objective = _objective(quadratic(H, np.zeros(2)), lower, upper)
+    res, se = _fit_box(objective, np.array([3.0, -2.0]), lower, upper, 4000, 1e-4)
     assert se == pytest.approx(np.sqrt(np.diag(np.linalg.inv(H))), rel=1e-4)
 
 
@@ -644,12 +652,12 @@ def c08_fit(seed):
 
 def test_strength_se_is_nan_for_a_variance_at_its_bound():
     # criterion-08 replicate 1026: the subject variance goes to zero, and the
-    # likelihood is highest with log tau2 on its lower bound
+    # likelihood is highest with tau / s on its lower bound, 0
     s = c08_fit(1026)
     assert s.converged
-    assert s.tau2 == pytest.approx(np.exp(-25.0), rel=1e-9)
-    assert np.isnan(s.param_se["log_tau2"])
-    others = [v for name, v in s.param_se.items() if name != "log_tau2"]
+    assert s.tau2 == 0.0
+    assert np.isnan(s.param_se["tau_over_s"])
+    others = [v for name, v in s.param_se.items() if name != "tau_over_s"]
     assert all(np.isfinite(v) and v > 0.01 for v in others)
     assert s.loglik >= 431.883066136 - 1e-6
 
@@ -663,53 +671,56 @@ def test_strength_fit_reaches_the_interior_optimum():
     assert s.tau2 == pytest.approx(0.00311331, rel=1e-3)
 
 
+def failing_lbfgsb(monkeypatch):
+    """Make every L-BFGS-B run report failure at its start, so that
+    `_fit_box` falls back to Nelder-Mead from there; the list of the
+    Nelder-Mead runs that follow."""
+    minimize, runs = optimize.minimize, []
+
+    def fake(fun, x0, *args, method=None, **kwargs):
+        if method == "L-BFGS-B":
+            x0 = np.asarray(x0, dtype=float)
+            return optimize.OptimizeResult(x=x0, fun=fun(x0), success=False, nfev=1)
+        runs.append(x0)
+        return minimize(fun, x0, *args, method=method, **kwargs)
+
+    monkeypatch.setattr(twopart.optimize, "minimize", fake)
+    return runs
+
+
 def test_strength_fit_falls_back_to_nelder_mead(monkeypatch):
-    # a gradient of the wrong sign makes every L-BFGS-B line search fail at
-    # the start; Nelder-Mead, which uses values only, continues from there
-    loglik = _StrengthModel.loglik
-
-    def flipped(self, x, grad=False):
-        ll, beta, xtx, g = loglik(self, x, grad)
-        return ll, beta, xtx, None if g is None else -g
-
-    monkeypatch.setattr(_StrengthModel, "loglik", flipped)
+    # L-BFGS-B fails at the start; Nelder-Mead continues from there, to a
+    # fit with tau2 = 0, whose standard error alone is NaN
     mats, coords = simulate_dyad_study(1078)
     data = build_dyad_dataset(mats, coordinates=coords)
     model = _StrengthModel(data, ("intercept",), CorrelationStructure("lear"), "identity")
+    runs = failing_lbfgsb(monkeypatch)
     s = twopart_fit(data, omega=CorrelationStructure("lear"), maxfev=1500).strength
+    assert len(runs) == 2  # presence, then strength
     assert model.loglik(model.start)[0] < 370.0
     assert s.loglik > 410.0
-    assert all(np.isfinite(v) for v in s.param_se.values())
+    assert s.tau2 == 0.0 and np.isnan(s.param_se["tau_over_s"])
+    assert all(np.isfinite(v) for name, v in s.param_se.items() if name != "tau_over_s")
 
 
 def test_strength_se_is_nan_for_a_flat_variance(identical_subject_fit):
-    # five identical subjects: the subject variance tends to zero and
-    # L-BFGS-B stops in the flat region short of the bound, at log tau2 near
-    # -23.2, where the local standard error (about 1,600) reaches far past it
+    # five identical subjects: the subject variance tends to zero, and the
+    # fit ends with tau / s on its lower bound, 0
     _, fit = identical_subject_fit
     s = fit.strength
-    assert -25.0 < np.log(s.tau2) < -20.0
-    assert np.isnan(s.param_se["log_tau2"])
+    assert s.tau2 == 0.0
+    assert np.isnan(s.param_se["tau_over_s"])
     assert np.isfinite(s.param_se["log_sigma2_task0"]) and s.param_se["log_sigma2_task0"] > 0.01
 
 
-def test_standard_errors_are_nan_where_two_se_leave_the_box():
-    # the second coordinate's curvature is so small that x +- 2 SE leaves
-    # |x| <= 40: it gets NaN, and the first coordinate's SE is taken with the
-    # second held fixed, 1 / sqrt(H[0, 0]), not the marginal one (which is 1)
+def test_standard_errors_of_a_flat_quadratic():
+    # the second coordinate's curvature is so small that x +- 2 SE reaches
+    # past |x| <= 40; away from the bounds it still gets its standard error
     H = np.array([[2.0, 1e-3], [1e-3, 1e-6]])
-
-    def objective(x, grad=False):
-        if np.max(np.abs(x)) > 40:
-            return (_SENTINEL, np.zeros(2)) if grad else _SENTINEL
-        return (0.5 * x @ H @ x, H @ x) if grad else 0.5 * x @ H @ x
-
     x = np.array([0.3, -1.0])
-    for grad in (True, False):
-        assert _standard_errors(objective, x, 1e-4, grad=grad) == pytest.approx([1.0, np.sqrt(2e6)], rel=1e-3)
-        se = _standard_errors(objective, x, 1e-4, np.full(2, 40.0), grad=grad)
-        assert np.isnan(se[1])
-        assert se[0] == pytest.approx(1 / np.sqrt(2.0), rel=1e-6)
+    for bound in (np.inf, 40.0):
+        objective = _objective(quadratic(H, np.zeros(2)), np.full(2, -bound), np.full(2, bound))
+        assert _standard_errors(objective, x, 1e-4) == pytest.approx([1.0, np.sqrt(2e6)], rel=1e-3)
 
 
 # --- presence gradient, gradient-difference standard errors ---
@@ -729,8 +740,8 @@ def test_presence_gradient_matches_central_differences(covariate, quad_points, t
     def loglik(x, grad=False):
         return _presence_marginal(x, X, data.v, data.subject, data.n_subjects, nodes, weights, grad)
 
-    for log_tau in np.linspace(-3.0, 1.0, 5):
-        x = np.append(rng.uniform(-1.0, 1.0, X.shape[1]), log_tau)
+    for tau in np.exp(np.linspace(-3.0, 1.0, 5)):
+        x = np.append(rng.uniform(-1.0, 1.0, X.shape[1]), tau)
         ll, g = loglik(x, grad=True)
         assert ll == loglik(x)[0]
         num = np.zeros(x.size)
@@ -759,14 +770,47 @@ def group_models_studies(seed):
         yield data, {"maxfev": inputs.DYAD_MAXFEV, **opts}
 
 
+def _fd_hessian(f, x, h):
+    """Central-difference Hessian of f at x with per-coordinate steps h, and
+    which of its entries had a stencil point where f met the sentinel."""
+    p = x.size
+    H = np.zeros((p, p))
+    hit = np.zeros((p, p), dtype=bool)
+    for a in range(p):
+        for b in range(a, p):
+            ea = np.zeros(p); ea[a] = h[a]
+            eb = np.zeros(p); eb[b] = h[b]
+            f_pp = f(x + ea + eb)
+            f_pm = f(x + ea - eb)
+            f_mp = f(x - ea + eb)
+            f_mm = f(x - ea - eb)
+            H[a, b] = H[b, a] = (f_pp - f_pm - f_mp + f_mm) / (4 * h[a] * h[b])
+            hit[a, b] = hit[b, a] = max(f_pp, f_pm, f_mp, f_mm) >= _SENTINEL
+    return H, hit
+
+
+def value_difference_se(objective, x, step):
+    """Standard errors from value differences (`_fd_hessian`), NaN for a
+    coordinate whose own stencil, or whose stencil with a coordinate kept,
+    meets the sentinel; the others with those coordinates held fixed."""
+    H, hit = _fd_hessian(objective, x, step * (1.0 + np.abs(x)))
+    bad = np.diag(hit).copy()
+    bad |= np.any(hit & ~bad[:, None] & ~bad[None, :], axis=1)
+    se = np.full(x.size, np.nan)
+    keep = np.flatnonzero(~bad)
+    var = np.diag(np.linalg.inv(H[np.ix_(keep, keep)]))
+    se[keep] = np.sqrt(np.where(var > 0, var, np.nan))
+    return se
+
+
 def recorded_fits(monkeypatch):
-    """Every `_fit_box` call of the fits that follow: (objective, optimum, box, step, SEs)."""
+    """Every `_fit_box` call of the fits that follow: (objective, optimum, step, SEs)."""
     calls = []
     fit_box = twopart._fit_box
 
-    def recording(objective, start, box, maxfev, step):
-        res, se = fit_box(objective, start, box, maxfev, step)
-        calls.append((objective, res.x, box, step, se))
+    def recording(objective, start, lower, upper, maxfev, step):
+        res, se = fit_box(objective, start, lower, upper, maxfev, step)
+        calls.append((objective, res.x, step, se))
         return res, se
 
     monkeypatch.setattr(twopart, "_fit_box", recording)
@@ -780,34 +824,23 @@ def test_gradient_difference_se_match_value_differences(monkeypatch):
     for data, options in group_models_studies(1):
         twopart_fit(data, **options)
     assert len(calls) >= 14
-    for objective, x, box, step, se in calls:
-        by_gradient = _standard_errors(objective, x, step, box, grad=True)
+    for objective, x, step, se in calls:
+        by_gradient = _standard_errors(objective, x, step)
         np.testing.assert_array_equal(se, by_gradient)
-        by_value = _standard_errors(objective, x, step, box)
+        by_value = value_difference_se(objective, x, step)
         assert np.array_equal(np.isnan(by_value), np.isnan(by_gradient))
         np.testing.assert_allclose(by_gradient, by_value, rtol=1e-3)
 
 
 def test_presence_fit_falls_back_to_nelder_mead(monkeypatch):
-    # as in the strength test: a gradient of the wrong sign fails L-BFGS-B,
-    # and Nelder-Mead, which uses values only, continues to the same optimum
+    # as in the strength test: L-BFGS-B fails at the start, and Nelder-Mead
+    # continues from there to the same optimum
     mats, coords = simulate_dyad_study(1078)
     data = build_dyad_dataset(mats, coordinates=coords)
     p = twopart_fit(data, omega=CorrelationStructure("lear"), maxfev=1500).presence
-    marginal, minimize, fallbacks = twopart._presence_marginal, twopart._minimize, []
-
-    def flipped(*args, **kwargs):
-        ll, g = marginal(*args, **kwargs)
-        return ll, None if g is None else -g
-
-    def counted(*args):
-        fallbacks.append(args)
-        return minimize(*args)
-
-    monkeypatch.setattr(twopart, "_presence_marginal", flipped)
-    monkeypatch.setattr(twopart, "_minimize", counted)
+    runs = failing_lbfgsb(monkeypatch)
     q = twopart._fit_presence(data, ("intercept",), 20, 1500)
-    assert len(fallbacks) == 1
+    assert len(runs) == 1
     assert q.converged
     assert q.loglik == pytest.approx(p.loglik, abs=1e-8)
     assert q.beta == pytest.approx(p.beta, abs=1e-5)
@@ -816,12 +849,53 @@ def test_presence_fit_falls_back_to_nelder_mead(monkeypatch):
 
 
 def test_presence_fit_reaches_a_variance_on_its_bound():
-    # criterion-08 replicate 1083: the presence likelihood rises as tau -> 0
-    # so slowly that L-BFGS-B from the usual start stops at tau = 1.4e-4,
-    # 3.2e-7 short; the refit from the plain logistic fit on the bound ends there
+    # criterion-08 replicate 1083: the presence likelihood is highest at
+    # tau = 0, where the model is the plain logistic one
     mats, coords = simulate_dyad_study(1083)
     p = twopart._fit_presence(build_dyad_dataset(mats, coordinates=coords), ("intercept",), 20, 1500)
     assert p.converged
-    assert p.tau == pytest.approx(np.exp(-12.0), rel=1e-9)
+    assert p.tau == 0.0
     assert p.loglik >= -260.339895438708 - 1e-9
     assert np.isfinite(p.se[0])
+
+
+def presence_case(covariate):
+    """(dataset, design, beta) of a small two-task presence problem."""
+    rng = np.random.default_rng(31 + covariate)
+    present = [rng.permutation(20)[: rng.integers(1, 20)] for _ in range(6)]
+    data = dyad_data(rng, 5, 6, tasks=2, present=present, covariate=covariate)
+    X = data.design(("intercept", "x") if covariate else ("intercept",))
+    return data, X, rng.uniform(-1.0, 1.0, X.shape[1])
+
+
+@pytest.mark.parametrize("covariate", [False, True], ids=["intercept", "covariate"])
+def test_presence_marginal_at_tau_zero_is_the_logistic_likelihood(covariate):
+    data, X, beta = presence_case(covariate)
+    nodes, weights = hermgauss(20)
+    ll, g = _presence_marginal(
+        np.append(beta, 0.0), X, data.v, data.subject, data.n_subjects, nodes, weights, grad=True
+    )
+    eta = X @ beta
+    assert ll == pytest.approx(np.sum(data.v * eta - np.log1p(np.exp(eta))), rel=1e-12)
+    np.testing.assert_allclose(g[:-1], X.T @ (data.v - expit(eta)), rtol=1e-10)
+    assert abs(g[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [0.3, 1.0])
+@pytest.mark.parametrize("covariate", [False, True], ids=["intercept", "covariate"])
+def test_presence_marginal_matches_quad(covariate, tau):
+    data, X, beta = presence_case(covariate)
+    nodes, weights = hermgauss(20)
+    ll, _ = _presence_marginal(np.append(beta, tau), X, data.v, data.subject, data.n_subjects, nodes, weights)
+    eta = X @ beta
+    total = 0.0
+    for s in range(data.n_subjects):
+        rows = data.subject == s
+        y, e = data.v[rows], eta[rows]
+
+        def integrand(z):
+            return np.exp(np.sum(y * (e + tau * z) - np.logaddexp(0.0, e + tau * z)) - 0.5 * z * z)
+
+        value, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=0.0, epsrel=1e-13)
+        total += np.log(value / np.sqrt(2 * np.pi))
+    assert ll == pytest.approx(total, rel=1e-10)
