@@ -17,7 +17,7 @@ import numpy as np
 from . import communities, ergm, groupcompare, metrics, nullmodels, resampling, twopart
 from .estimators import ESTIMATOR_NAMES, estimate, load_connection_matrix
 from .networks import load_network
-from .panels import load_timeseries
+from .panels import _parse_csv_matrix, load_timeseries
 from .pipeline import ConfigError, load_config, run_pipeline
 from .runtime import to_json
 from .thresholding import apply_spec
@@ -144,7 +144,7 @@ def _cmd_compare(args):
         return groupcompare.nbs(group_a, group_b, **test)
     if not args.coordinates:
         raise ValueError("spc needs --coordinates (CSV of node positions)")
-    coords = np.loadtxt(args.coordinates, delimiter=",", ndmin=2)
+    coords, _ = _parse_csv_matrix(args.coordinates)
     adjacency = groupcompare.adjacency_from_coordinates(coords, radius=args.radius)
     return groupcompare.spc(group_a, group_b, node_adjacency=adjacency, **test)
 
@@ -170,7 +170,7 @@ def _cmd_twopart(args):
     group = _load_group(args.matrices)
     coords = None
     if args.coordinates:
-        coords = np.loadtxt(args.coordinates, delimiter=",", ndmin=2)
+        coords, _ = _parse_csv_matrix(args.coordinates)
     data = twopart.build_dyad_dataset(
         group, coordinates=coords, threshold=args.presence_threshold
     )
@@ -225,7 +225,7 @@ def build_parser():
     p.add_argument("--layout", choices=["rows-are-time", "rows-are-nodes"], default="rows-are-time")
     p.add_argument("--band", help="low,high in Hz (coherence)")
     p.add_argument("--params", help="extra estimator parameters as JSON")
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("threshold", help="connection matrix to network")
@@ -297,7 +297,7 @@ def build_parser():
     p.add_argument("--presence-threshold", type=float, default=0.0)
     p.add_argument("--omega", choices=list(twopart.STRUCTURE_KINDS), default="identity")
     p.add_argument("--maxfev", type=int, default=2000)
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(fn=_cmd_twopart)
 
     p = sub.add_parser("bootstrap", help="metric uncertainty via block bootstrap")
@@ -313,7 +313,7 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="run a JSON pipeline config")
     p.add_argument("--config", required=True)
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(fn=_cmd_pipeline)
 
     return parser

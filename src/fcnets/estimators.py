@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .panels import BandSpec
+from .panels import BandSpec, _parse_csv_matrix
 
 
 @dataclass
@@ -52,7 +52,8 @@ class ConnectionMatrix:
 
 
 def load_connection_matrix(path):
-    values = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a matrix CSV (a header row is ignored) and its JSON sidecar, if any."""
+    values, _ = _parse_csv_matrix(path)
     try:
         with open(str(path) + ".json") as fh:
             meta = json.load(fh)

@@ -63,8 +63,7 @@ def _t_for_labels(X, labels_a):
     sp = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
     denom = np.sqrt(sp * (1 / na + 1 / nb))
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ma - mb) / denom
-    return t, denom
+        return (ma - mb) / denom
 
 
 @dataclass
@@ -75,7 +74,7 @@ class EdgeTestResult:
     q: np.ndarray
     correction: str
     group_sizes: tuple
-    undefined: np.ndarray  # edges with zero pooled variance
+    undefined: np.ndarray  # edges without a finite t, or where both groups are constant
 
     def edge_pairs(self):
         iu, ju = np.triu_indices(self.n, 1)
@@ -90,18 +89,20 @@ class EdgeTestResult:
 def edgewise_compare(group_a, group_b, correction="bh-fdr"):
     """Mass-univariate two-sample t per edge with Bonferroni or BH-FDR q-values.
 
-    Zero pooled variance at an edge leaves that edge flagged with undefined
-    p (NaN) and q = 1.
+    An edge has no defined t where both groups are exactly constant or its
+    sum-of-squares pooled variance is not positive (t not finite): it is
+    flagged undefined with p NaN and q = 1, and neither correction counts it.
     """
     n, X, observed = _edge_panel(group_a, group_b)
-    t, denom = _t_for_labels(X, observed)
-    t, denom = t[0], denom[0]
-    undefined = ~(denom > 0)
+    t = _t_for_labels(X, observed)[0]
+    na = len(group_a)
+    constant = (np.ptp(X[:na], axis=0) == 0) & (np.ptp(X[na:], axis=0) == 0)
+    undefined = constant | ~np.isfinite(t)
     df = len(group_a) + len(group_b) - 2
     p = np.full(t.size, np.nan)
     p[~undefined] = 2.0 * stdtr(df, -np.abs(t[~undefined]))
     if correction == "bonferroni":
-        q = np.minimum(p * p.size, 1.0)
+        q = np.minimum(p * np.count_nonzero(~undefined), 1.0)
     elif correction == "bh-fdr":
         q = np.full(p.size, np.nan)
         q[~undefined] = _bh_adjust(p[~undefined])
@@ -223,7 +224,7 @@ def _cluster_permutation_test(
         raise ValueError("need at least 100 permutations")
     n, X, observed = _edge_panel(group_a, group_b)
     iu, ju = np.triu_indices(n, 1)
-    t_obs = _t_for_labels(X, observed)[0]
+    t_obs = _t_for_labels(X, observed)
     _, edges, labels = clusters(n, iu, ju, _supra_mask(t_obs, t_threshold, alternative))
     found = _cluster_lists(edges, labels, min_edges)
     found.sort(key=lambda c: (-len(c), c))
@@ -234,7 +235,7 @@ def _cluster_permutation_test(
         shuffled = np.zeros((len(perms), n_total), dtype=bool)
         for row, p in enumerate(perms):
             shuffled[row, rng_for(seed, tag, p).permutation(n_total)[: len(group_a)]] = True
-        t = _t_for_labels(X, shuffled)[0]
+        t = _t_for_labels(X, shuffled)
         rows, _, labels = clusters(n, iu, ju, _supra_mask(t, t_threshold, alternative))
         null_max[lo : perms.stop] = _max_cluster_sizes(rows, labels, len(perms), min_edges)
     sizes = [len(c) for c in found]

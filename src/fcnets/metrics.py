@@ -16,7 +16,7 @@ shortest-path distances (Dijkstra).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,7 +30,6 @@ class MetricReport:
     value: float
     per_node: np.ndarray | None = None
     unreachable_pair_count: int = 0
-    flags: dict = field(default_factory=dict)
 
 
 def _csr_edges(g):

@@ -285,7 +285,8 @@ def _draw(table, size, rng):
 
 
 def sample_powerlaw(alpha, x_min, size, rng):
-    """Exact draws from the discrete power law via an inverse-CDF table."""
+    """Draws from the discrete power law via an inverse-CDF table that stops at
+    max(100000 * x_min, 10000): the law truncated there and renormalised."""
     return _draw(_powerlaw_table(alpha, x_min), size, rng)
 
 

@@ -75,34 +75,29 @@ class TimeSeriesPanel:
 
 
 def _parse_csv_matrix(path):
-    """Read a numeric CSV, returning (float matrix, header labels or None)."""
-    rows = []
-    header = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh)):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if lineno == 0:
-                try:
-                    [float(cell) for cell in row]
-                except ValueError:
-                    header = [cell.strip() for cell in row]
-                    continue
-            parsed = []
-            for colno, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: non-numeric cell at row {lineno + 1}, column {colno + 1}: {cell!r}"
-                    ) from None
-            rows.append(parsed)
-    if not rows:
+    """Read a numeric CSV, returning (float matrix, header labels or None).
+
+    '#' starts a comment running to the end of its line; lines holding nothing
+    but whitespace, commas and a comment are skipped. The first line left is a
+    header of labels when any of its cells is not a number; the others are
+    rows of numbers, quoted or not, of one width. Every error names the file.
+    """
+    with open(path) as fh:
+        texts = (line.split("#", 1)[0] for line in fh)
+        lines = [text for text in texts if text.replace(",", "").strip()]
+    header = [cell.strip() for cell in next(csv.reader(lines[:1]), [])]
+    try:
+        for cell in header:
+            float(cell)
+        header = None
+    except ValueError:
+        lines = lines[1:]
+    if not lines:
         raise ValueError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise ValueError(f"{path}: ragged rows, widths {sorted(widths)}")
-    return np.array(rows, dtype=float), header
+    try:
+        return np.loadtxt(lines, delimiter=",", quotechar='"', ndmin=2), header
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_timeseries(path, layout="rows-are-time", sampling_interval=1.0):

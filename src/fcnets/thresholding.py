@@ -38,10 +38,11 @@ def _policy_values(cm, negatives):
 
 
 def _ranked_pairs(vals, n):
-    """All i<j pairs sorted by value desc, ties by (i, j) lexicographic."""
+    """All i<j pairs sorted by value desc, ties by (i, j) lexicographic: the
+    stable sort keeps within ties the (i, j) order np.triu_indices yields."""
     iu, ju = np.triu_indices(n, 1)
     w = vals[iu, ju]
-    order = np.lexsort((ju, iu, -w))
+    order = np.argsort(-w, kind="stable")
     return iu[order], ju[order], w[order]
 
 

@@ -193,6 +193,23 @@ def test_usage_error_exits_2():
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--in", DATA / "subject_0.csv"],
+        ["twopart", "--matrices", DATA / "group_a_0.csv", DATA / "group_a_1.csv"],
+        ["pipeline", "--config", DATA / "config.json"],
+    ],
+    ids=["estimate", "twopart", "pipeline"],
+)
+def test_seed_flag_is_a_usage_error_where_nothing_reads_a_seed(capsys, argv):
+    # the pipeline's seed lives in its config; estimate and twopart draw nothing
+    with pytest.raises(SystemExit) as exc_info:
+        main([str(a) for a in argv] + ["--seed", "5"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
 def test_community_with_cartography(capsys):
     code, out, _ = run_cli(
         capsys, "community", "--in", DATA / "p3.tsv", "--cartography",

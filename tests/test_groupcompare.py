@@ -102,6 +102,41 @@ def test_edgewise_undefined_edges():
     assert (0, 1) not in res.significant_edges(alpha=0.99)
 
 
+def test_edgewise_flags_every_constant_edge():
+    # at 0.3 the sum-of-squares pooled SD comes out 2.6e-9 from cancellation, not 0
+    n = 4
+    k = _edge_idx(n)[(0, 1)]
+    for value in (0.0, 0.123456789, 0.3, 0.7):
+        ga, gb = make_groups(n, subjects=5, seed=2, paired_noise=False)
+        for cm in ga + gb:
+            cm.values[0, 1] = cm.values[1, 0] = value
+        for correction in ("bonferroni", "bh-fdr"):
+            res = edgewise_compare(ga, gb, correction=correction)
+            assert np.flatnonzero(res.undefined).tolist() == [k]
+            assert np.isnan(res.p[k]) and res.q[k] == 1.0
+        defined = ~res.undefined
+        bon = edgewise_compare(ga, gb, correction="bonferroni")
+        assert np.array_equal(bon.q[defined], np.minimum(bon.p[defined] * defined.sum(), 1.0))
+        assert (0, 1) not in bon.significant_edges(alpha=0.99)
+
+
+@pytest.mark.parametrize("eps", [1e-15, 1e-13, 1e-9])
+def test_edgewise_nearly_constant_edge_is_not_significant(eps):
+    # one subject 0.3 + eps, the rest 0.3: the two-pass t is about 1 (p = 0.35),
+    # but the sum-of-squares pooled variance is rounding noise (0 at 1e-15)
+    n = 4
+    k = _edge_idx(n)[(0, 1)]
+    ga, gb = make_groups(n, subjects=5, seed=2, paired_noise=False)
+    for s, cm in enumerate(ga + gb):
+        cm.values[0, 1] = cm.values[1, 0] = 0.3 + (eps if s == 0 else 0.0)
+    for correction in ("bonferroni", "bh-fdr"):
+        res = edgewise_compare(ga, gb, correction=correction)
+        assert np.array_equal(np.isnan(res.p), res.undefined)
+        assert np.all((res.q >= 0) & (res.q <= 1))
+        assert (0, 1) not in res.significant_edges(alpha=0.05)
+        assert res.undefined[k] or res.p[k] > 0.05
+
+
 def test_edgewise_guards():
     ga, gb = make_groups(4, subjects=3, seed=0)
     with pytest.raises(ValueError, match="unknown correction"):

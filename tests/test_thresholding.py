@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fcnets.estimators import ConnectionMatrix
 from fcnets.thresholding import (
+    _ranked_pairs,
     apply_fixed_degree,
     apply_fixed_density,
     apply_fixed_threshold,
@@ -172,6 +173,32 @@ def test_fixed_degree_tie_break_lexicographic():
     np.fill_diagonal(vals, 0.0)
     net = apply_fixed_degree(cm_from(vals), k_target=1.0)  # E = 2 of 6 equal entries
     assert net.edges == [(0, 1), (0, 2)]
+
+
+def _lexsort_ranking(vals, n):
+    iu, ju = np.triu_indices(n, 1)
+    w = vals[iu, ju]
+    order = np.lexsort((ju, iu, -w))
+    return iu[order], ju[order], w[order]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+def test_ranked_pairs_match_the_lexsort_ranking(n):
+    rng = np.random.default_rng(n)
+    cases = []
+    for _ in range(5):
+        vals = np.round(sym(n, rng), 1)  # rounding makes ties
+        vals[rng.random((n, n)) < 0.2] = 0.0
+        vals[rng.random((n, n)) < 0.2] = -0.0
+        cases.append(vals)
+    with_nan = sym(n, rng)
+    with_nan[0, 1] = with_nan[n - 2, n - 1] = np.nan
+    cases += [with_nan, np.zeros((n, n)), np.full((n, n), -0.0)]
+    for vals in cases:
+        got, want = _ranked_pairs(vals, n), _lexsort_ranking(vals, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert np.array_equal(np.signbit(got[2]), np.signbit(want[2]))
 
 
 def test_fixed_degree_overflow():
