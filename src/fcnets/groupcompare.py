@@ -30,7 +30,12 @@ from .thresholding import _bh_adjust
 
 def _edge_panel(group_a, group_b):
     """Node count, subjects x edges panel of both groups (Fisher-transformed for
-    the correlation family) and the observed label row (True for group a)."""
+    the correlation family) and the observed label row (True for group a).
+
+    Each edge's column is centred on its mean. t does not change under a
+    shift, and centring keeps the one-pass variances of `_t_for_labels` from
+    cancelling on an edge whose spread is small against its level.
+    """
     if len(group_a) < 2 or len(group_b) < 2:
         raise ValueError("each group needs at least 2 subjects")
     subjects = list(group_a) + list(group_b)
@@ -46,7 +51,8 @@ def _edge_panel(group_a, group_b):
         rows.append(vals)
     observed = np.zeros((1, len(subjects)), dtype=bool)
     observed[0, : len(group_a)] = True
-    return n, np.vstack(rows), observed
+    X = np.vstack(rows)
+    return n, X - X.mean(axis=0), observed
 
 
 def _t_for_labels(X, labels_a):

@@ -5,18 +5,22 @@ path-length formulas follow the inverse-distance averages over ordered node
 pairs; unreachable pairs contribute zero to efficiencies and are excluded
 (and counted) for the characteristic path length.
 
-Unweighted path length and triangle counts run on packed bitsets (uint64
-words, one bit per node or source): path length as a breadth-first search
-from a block of sources at once, one bit per source (Then et al. 2014), and
-triangles as popcounts of adjacency-row intersections. Both count exact
-integers. Weighted path length, the efficiencies and closeness take scipy's
-shortest-path distances (Dijkstra).
+Unweighted path length, efficiencies and triangle counts run on packed
+bitsets (uint64 words, one bit per node or source). Path length and global
+efficiency count ordered pairs by hop distance with a breadth-first search
+from a block of sources at once, one bit per source (Then et al. 2014).
+Triangles are popcounts of adjacency-row intersections, and local efficiency
+runs the same search on every node's neighbour subgraph at once, whose edges
+are those intersections. All of them count exact integers. Weighted path
+length, the weighted efficiencies and closeness take scipy's shortest-path
+distances (Dijkstra).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -54,8 +58,9 @@ def _sparse_adj(g, w):
 
 
 # Bounds the uint64 words one bitset gather holds: 2m * words for a
-# breadth-first level over a block of 64 * words sources, and edges * words
-# for a block of triangle row intersections.
+# breadth-first level over a block of 64 * words sources, edges * words for
+# a block of triangle row intersections, and the words a chunk of centres
+# of local efficiency gathers (see `_local_inverse_sums`).
 _BITSET_BLOCK = 1 << 20
 
 
@@ -129,10 +134,16 @@ def clustering(g, variant="mean_local"):
     raise ValueError(f"unknown clustering variant {variant!r}")
 
 
+def _adjacency_rows(g):
+    """(n, ceil(n / 64)) uint64 rows of the 0/1 adjacency, bit j of row i for edge (i, j)."""
+    i, j = g.pairs.T
+    return _bitset(g.n, np.concatenate((i, j)), np.concatenate((j, i)), g.n)
+
+
 def _triangles(g):
     """Twice each node's triangle count, from popcounts of adjacency-row pairs."""
     i, j = g.pairs.T
-    rows = _bitset(g.n, np.concatenate((i, j)), np.concatenate((j, i)), g.n)
+    rows = _adjacency_rows(g)
     closed = np.zeros(g.edge_count, dtype=np.int64)  # triangles through each edge
     step = max(1, _BITSET_BLOCK // rows.shape[1])
     for k in range(0, g.edge_count, step):
@@ -141,21 +152,87 @@ def _triangles(g):
     return np.bincount(g.pairs.ravel(), weights=np.repeat(closed, 2), minlength=g.n)
 
 
+def _levels(front, nbr, indptr):
+    """Breadth-first levels from the source bits in `front`, one level per item.
+
+    front holds a row of source bits for each node of the graph whose
+    neighbour lists are CSR (indptr, nbr). A level ORs the frontier rows of
+    each node's neighbours (one reduceat over the CSR slots) and drops the
+    bits already seen; it yields the nodes with neighbours and the popcount
+    of each one's newly reached bits, until a level reaches nothing. Nodes
+    without neighbours are left out of the reduceat, which would give an
+    empty segment its next element.
+    """
+    linked = np.flatnonzero(np.diff(indptr))
+    starts = indptr[linked]
+    seen = front.copy()
+    while True:
+        reached = np.bitwise_or.reduceat(front[nbr], starts, axis=0) & ~seen[linked]
+        found = np.bitwise_count(reached).sum(axis=1)
+        if not found.any():
+            return
+        yield linked, found
+        front = np.zeros_like(seen)
+        front[linked] = reached
+        seen |= front
+
+
+def _local_inverse_sums(g):
+    """Per node, the sum of 1/hop distance over ordered pairs of its
+    neighbour subgraph (unweighted networks).
+
+    Each CSR slot (c, a) stands for node a in c's neighbour subgraph, where
+    its neighbours are N(c) & N(a): the set bits of the intersection of
+    adjacency rows c and a, as in `_triangles`. Every subgraph searches at
+    once as the blocks of one block-diagonal graph on the slots (`_levels`).
+    Sources stay in their own block, so slot (c, a) carries bit p for the
+    p-th neighbour of c in a row of ceil(max degree / 64) words. Each
+    level's popcounts add up per centre with one bincount. Centres run in
+    consecutive chunks whose temporaries stay within _BITSET_BLOCK words.
+    """
+    n = g.n
+    indptr, nbr, _ = _csr_edges(g)
+    deg = np.diff(indptr)
+    centre = np.repeat(np.arange(n), deg)
+    local = np.arange(nbr.size) - indptr[centre]
+    keys = centre * n + nbr  # ascending, so the slot of (c, b) is the rank of c * n + b
+    rows = _adjacency_rows(g)
+    width = -(-int(deg.max()) // 64)
+    # words per slot: the unpacked row intersection and source bits (one
+    # byte per bit) and up to deg - 1 neighbour rows gathered per level
+    cost = 8 * (rows.shape[1] + width) + (deg[centre] - 1) * width
+    bound = np.concatenate(([0], np.cumsum(cost)))[indptr]
+    sums = np.zeros(n)
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(bound, bound[lo] + _BITSET_BLOCK, side="right")) - 1)
+        s0, s1 = indptr[lo], indptr[hi]
+        c, a = centre[s0:s1], nbr[s0:s1]
+        both = np.unpackbits((rows[c] & rows[a]).view(np.uint8), axis=1, bitorder="little")
+        hit, b = np.nonzero(both)
+        sub_indptr = np.zeros(s1 - s0 + 1, dtype=np.int64)
+        np.cumsum(np.bincount(hit, minlength=s1 - s0), out=sub_indptr[1:])
+        sub_nbr = np.searchsorted(keys, c[hit] * n + b) - s0
+        front = _bitset(s1 - s0, np.arange(s1 - s0), local[s0:s1], 64 * width)
+        for level, (linked, found) in enumerate(_levels(front, sub_nbr, sub_indptr), start=1):
+            sums[lo:hi] += np.bincount(c[linked] - lo, weights=found, minlength=hi - lo) / level
+        lo = hi
+    return sums
+
+
 _LOCAL_BATCH_NODES = 512  # bounds each block-diagonal distance matrix
 
 
-def local_efficiency(g):
-    """Mean over nodes of the inverse-distance average within each node's
-    neighbor subgraph; nodes with fewer than two neighbors contribute 0.
+def _local_inverse_sums_dijkstra(g):
+    """Per node, the sum of 1/distance over ordered pairs of its neighbour
+    subgraph, with 1/weight lengths (weighted networks).
 
-    Neighbor subgraphs are solved a batch at a time as the diagonal blocks
+    Neighbour subgraphs are solved a batch at a time as the diagonal blocks
     of one block-diagonal graph, so each batch is one shortest-path call.
     """
     n = g.n
-    if n == 0:
-        return MetricReport("local_efficiency", 0.0, per_node=np.zeros(0))
     W = g.adjacency().astype(float)
-    per = np.zeros(n)
+    sums = np.zeros(n)
     blocks, rows, cols, lengths = [], [], [], []
     offset = 0
 
@@ -164,13 +241,13 @@ def local_efficiency(g):
             (np.concatenate(lengths), (np.concatenate(rows), np.concatenate(cols))),
             shape=(offset, offset),
         )
-        D = _sp(graph, method="D", directed=False, unweighted=g.weights is None)
+        D = _sp(graph, method="D", directed=False)
         for i, start, k in blocks:
             with np.errstate(divide="ignore"):
                 inv = 1.0 / D[start : start + k, start : start + k]
             inv[~np.isfinite(inv)] = 0.0
             np.fill_diagonal(inv, 0.0)
-            per[i] = inv.sum() / (k * (k - 1))
+            sums[i] = inv.sum()
 
     for i in range(n):
         nb = np.flatnonzero(W[i])
@@ -189,54 +266,77 @@ def local_efficiency(g):
             blocks, rows, cols, lengths, offset = [], [], [], [], 0
     if blocks:
         solve_batch()
+    return sums
+
+
+def local_efficiency(g):
+    """Mean over nodes of the inverse-distance average within each node's
+    neighbor subgraph; nodes with fewer than two neighbors contribute 0.
+
+    Unweighted networks count hop distances in every neighbor subgraph at
+    once with a bit-parallel breadth-first search (`_local_inverse_sums`).
+    Weighted ones take scipy's Dijkstra distances with 1/weight lengths, a
+    batch of subgraphs per call (`_local_inverse_sums_dijkstra`).
+    """
+    n = g.n
+    if n == 0:
+        return MetricReport("local_efficiency", 0.0, per_node=np.zeros(0))
+    if g.edge_count == 0:
+        sums = np.zeros(n)
+    elif g.weights is None:
+        sums = _local_inverse_sums(g)
+    else:
+        sums = _local_inverse_sums_dijkstra(g)
+    deg = g.degrees()
+    pairs = deg * (deg - 1)
+    per = np.where(pairs > 0, sums / np.maximum(pairs, 1), 0.0)
     return MetricReport("local_efficiency", float(per.mean()), per_node=per)
 
 
 def global_efficiency(g):
-    """Average inverse shortest distance over ordered pairs (1/inf = 0)."""
+    """Average inverse shortest distance over ordered pairs (1/inf = 0).
+
+    Unweighted networks sum c_l / l over the counts c_l of ordered pairs at
+    each hop distance l (`_hop_counts`) as an exact fraction and divide
+    once, so the value is correctly rounded. Weighted ones average the
+    inverses of scipy's Dijkstra distances with 1/weight lengths.
+    Unreachable ordered pairs contribute 0 and are counted.
+    """
     n = g.n
     if n < 2:
         return MetricReport("global_efficiency", 0.0)
-    D = distance_matrix(g)
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / D
-    inv[~np.isfinite(inv)] = 0.0
-    np.fill_diagonal(inv, 0.0)
-    unreachable = int(np.sum(np.isinf(D)))
-    return MetricReport(
-        "global_efficiency", float(inv.sum() / (n * (n - 1))), unreachable_pair_count=unreachable
-    )
+    if g.weights is None:
+        counts = _hop_counts(g)
+        total = sum((Fraction(c, level) for level, c in enumerate(counts, start=1) if c), Fraction(0))
+        value = float(total / (n * (n - 1)))
+        unreachable = n * (n - 1) - sum(counts)
+    else:
+        D = distance_matrix(g)
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / D
+        inv[~np.isfinite(inv)] = 0.0
+        np.fill_diagonal(inv, 0.0)
+        value = float(inv.sum() / (n * (n - 1)))
+        unreachable = int(np.sum(np.isinf(D)))
+    return MetricReport("global_efficiency", value, unreachable_pair_count=unreachable)
 
 
 def _hop_counts(g):
     """Ordered node pairs at each hop distance 1, 2, ..., n (a list of n ints).
 
-    A block of b sources searches at once on (n, ceil(b / 64)) bitsets whose
-    row v holds one bit per source: a level ORs the frontier rows of each
-    node's neighbours (one reduceat over the CSR slots), drops the nodes
-    already seen, and counts the new pairs by popcount. Nodes without
-    neighbours are left out of the reduceat, which would give an empty
-    segment its next element.
+    A block of b sources searches at once (`_levels`) on (n, ceil(b / 64))
+    bitsets whose row v holds one bit per source, and each level's new
+    pairs are counted by popcount.
     """
     n = g.n
     indptr, nbr, _ = _csr_edges(g)
-    linked = np.flatnonzero(np.diff(indptr))
-    starts = indptr[linked]
     counts = [0] * n
     words = max(1, _BITSET_BLOCK // max(1, nbr.size))
     for first in range(0, n, 64 * words):
         sources = np.arange(first, min(n, first + 64 * words))
         front = _bitset(n, sources, sources - first, sources.size)
-        seen = front.copy()
-        for level in range(n):
-            reached = np.bitwise_or.reduceat(front[nbr], starts, axis=0) & ~seen[linked]
-            found = int(np.bitwise_count(reached).sum())
-            if not found:
-                break
-            counts[level] += found
-            front = np.zeros_like(seen)
-            front[linked] = reached
-            seen |= front
+        for level, (_, found) in enumerate(_levels(front, nbr, indptr)):
+            counts[level] += int(found.sum())
     return counts
 
 

@@ -37,12 +37,22 @@ def _policy_values(cm, negatives):
     return vals
 
 
-def _ranked_pairs(vals, n):
-    """All i<j pairs sorted by value desc, ties by (i, j) lexicographic: the
-    stable sort keeps within ties the (i, j) order np.triu_indices yields."""
+def _ranked_pairs(vals, n, count=None):
+    """The first `count` (default all) i<j pairs sorted by value desc, ties by
+    (i, j) lexicographic: the stable sort keeps within ties the (i, j) order
+    np.triu_indices yields, and NaN ranks last.
+
+    A prefix does not sort every pair: a partition finds the count-th value,
+    and only the pairs at or above it (all pairs, if that value is NaN) are
+    sorted.
+    """
     iu, ju = np.triu_indices(n, 1)
     w = vals[iu, ju]
-    order = np.argsort(-w, kind="stable")
+    if count is not None and 0 < count < w.size:
+        cut = np.partition(-w, count - 1)[count - 1]
+        keep = np.flatnonzero(~(-w > cut))  # NaN compares False either way
+        iu, ju, w = iu[keep], ju[keep], w[keep]
+    order = np.argsort(-w, kind="stable")[:count]
     return iu[order], ju[order], w[order]
 
 
@@ -182,10 +192,10 @@ def apply_fixed_degree(cm, k_target, negatives="drop"):
     max_edges = n * (n - 1) // 2
     if E > max_edges:
         raise ValueError(f"target edge count {E} exceeds possible {max_edges}")
-    ii, jj, w = _ranked_pairs(_policy_values(cm, negatives), n)
+    ii, jj, _ = _ranked_pairs(_policy_values(cm, negatives), n, E)
     return Network(
         n,
-        np.column_stack((ii[:E], jj[:E])),
+        np.column_stack((ii, jj)),
         meta={"threshold": {"criterion": "fixed_degree", "k_target": k_target, "negatives": negatives}},
     )
 
@@ -203,10 +213,10 @@ def apply_fixed_density(cm, density=None, path_exponent=None, negatives="drop"):
         if not 0 < density <= 1:
             raise ValueError("density must be in (0, 1]")
         E = _round_half_up(density * n * (n - 1) / 2.0)
-        ii, jj, _ = _ranked_pairs(_policy_values(cm, negatives), n)
+        ii, jj, _ = _ranked_pairs(_policy_values(cm, negatives), n, E)
         return Network(
             n,
-            np.column_stack((ii[:E], jj[:E])),
+            np.column_stack((ii, jj)),
             meta={"threshold": {"criterion": "fixed_density", "density": density, "negatives": negatives}},
         )
     S = float(path_exponent)

@@ -137,6 +137,24 @@ def test_edgewise_nearly_constant_edge_is_not_significant(eps):
         assert res.undefined[k] or res.p[k] > 0.05
 
 
+def test_edgewise_t_of_a_nearly_constant_edge_matches_a_two_pass_reference():
+    # one subject at 0.3 + 1e-9, the rest at 0.3: a sum-of-squares variance
+    # about the raw values cancels to rounding noise (t = 0.093, p = 0.93)
+    n = 4
+    k = _edge_idx(n)[(0, 1)]
+    ga, gb = make_groups(n, subjects=5, seed=2, paired_noise=False)
+    for s, cm in enumerate(ga + gb):
+        cm.values[0, 1] = cm.values[1, 0] = 0.3 + (1e-9 if s == 0 else 0.0)
+    z = fisher_z(np.array([cm.values[0, 1] for cm in ga + gb]))
+    a, b = z[:5], z[5:]
+    pooled = (np.sum((a - a.mean()) ** 2) + np.sum((b - b.mean()) ** 2)) / 8
+    want = (a.mean() - b.mean()) / np.sqrt(pooled * (1 / 5 + 1 / 5))
+    res = edgewise_compare(ga, gb)
+    assert want == pytest.approx(1.0, rel=1e-3)
+    assert res.t[k] == pytest.approx(want, rel=1e-6)
+    assert res.p[k] == pytest.approx(0.347, abs=1e-3)
+
+
 def test_edgewise_guards():
     ga, gb = make_groups(4, subjects=3, seed=0)
     with pytest.raises(ValueError, match="unknown correction"):

@@ -1,4 +1,4 @@
-"""Unweighted path length and triangle counts against exact references.
+"""Unweighted path length, efficiencies and triangle counts against exact references.
 
 Unweighted path length counts pairs by hop distance with a bit-parallel
 breadth-first search over blocks of sources. Its value and unreachable-pair
@@ -8,14 +8,24 @@ random graphs (with isolated nodes and several components), on sizes around
 the 64-bit word boundary, on a ring lattice with many levels, and across a
 source-block boundary. Per-node triangle counts are checked against
 networkx.
+
+Unweighted global efficiency must equal, exactly, the correctly rounded
+mean of 1/distance over networkx shortest-path lengths (an exact fraction,
+rounded once), and per-node local efficiency must match networkx's
+efficiency of each neighbour subgraph to 1e-12 relative. Both are checked
+on the same families, on graphs with a degree above 64 (more than one word
+of sources per neighbour subgraph), across bitset-block boundaries, and
+without any Dijkstra call.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import ring_lattice
 from fcnets import metrics
-from fcnets.metrics import distance_matrix, path_length
+from fcnets.metrics import distance_matrix, global_efficiency, local_efficiency, path_length
 from fcnets.networks import BinaryNetwork, Network
 
 nx = pytest.importorskip("networkx")
@@ -115,3 +125,106 @@ def test_weighted_networks_keep_dijkstra():
 def test_no_reachable_pair_raises(g):
     with pytest.raises(ValueError, match="path length undefined: no reachable node pairs"):
         path_length(g)
+
+
+def assert_efficiencies(g, G):
+    n = g.n
+    glob = global_efficiency(g)
+    lengths = [d for _, row in nx.all_pairs_shortest_path_length(G) for d in row.values() if d]
+    exact = sum(map(Fraction, [1] * len(lengths), lengths), Fraction(0))
+    want = float(exact / (n * (n - 1))) if n > 1 else 0.0
+    assert glob.value == want
+    assert glob.unreachable_pair_count == (n * (n - 1) - len(lengths) if n > 1 else 0)
+    local = local_efficiency(g)
+    # nx.local_efficiency(G) is the mean of these
+    per = [nx.global_efficiency(G.subgraph(G[v])) for v in range(n)]
+    np.testing.assert_allclose(local.per_node, per, rtol=1e-12, atol=0)
+    assert local.value == pytest.approx(sum(per) / n if n else 0.0, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_efficiencies_random_graphs(seed):
+    assert_efficiencies(*as_network(random_gnp(seed)))
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(f, n) for f in ("path", "gnp", "dense") for n in (63, 64, 65, 128)]
+    + [("complete", n) for n in (63, 64, 65)],
+)
+def test_efficiencies_sizes_around_a_word(family, n):
+    if family == "path":
+        G = nx.path_graph(n)
+    elif family == "gnp":
+        G = nx.gnp_random_graph(n, 3.0 / n, seed=n)
+    elif family == "dense":
+        G = nx.gnp_random_graph(n, 40.0 / n, seed=n)
+    else:
+        G = nx.complete_graph(n)
+    assert_efficiencies(*as_network(G))
+
+
+def hub_with_components():
+    """A hub joined to 80 nodes that are sparsely linked, a path and isolated nodes."""
+    G = nx.gnp_random_graph(80, 0.06, seed=2)
+    G.add_edges_from((80, v) for v in range(80))
+    return nx.disjoint_union_all([G, nx.path_graph(10), nx.empty_graph(5)])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [nx.complete_graph(70), nx.gnm_random_graph(80, 2700, seed=1), hub_with_components()],
+    ids=["K70", "gnm80", "hub_and_components"],
+)
+def test_efficiencies_with_a_degree_above_64(G):
+    g, G = as_network(G)
+    assert int(g.degrees().max()) > 64
+    assert_efficiencies(g, G)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [BinaryNetwork(0, []), BinaryNetwork(1, []), BinaryNetwork(2, []), BinaryNetwork(2, [(0, 1)]), BinaryNetwork(6, [])],
+    ids=["n0", "n1", "n2_edgeless", "n2_edge", "edgeless"],
+)
+def test_efficiencies_on_tiny_graphs(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    assert_efficiencies(g, G)
+
+
+def test_blocked_efficiencies_match_one_block(monkeypatch):
+    G = nx.disjoint_union_all(
+        [nx.watts_strogatz_graph(150, 6, 0.2, seed=3), nx.complete_graph(70), nx.empty_graph(10)]
+    )
+    g, G = as_network(G)
+    whole = global_efficiency(g), local_efficiency(g)
+    # local efficiency from one centre per chunk up to one chunk; global
+    # efficiency in blocks of 64, 64, 64, 38 and of 128, 102 sources, then
+    # in one block
+    for block in (1, 4 * g.edge_count, 5000, 50_000):
+        monkeypatch.setattr(metrics, "_BITSET_BLOCK", block)
+        glob, local = global_efficiency(g), local_efficiency(g)
+        assert (glob.value, glob.unreachable_pair_count) == (
+            whole[0].value,
+            whole[0].unreachable_pair_count,
+        )
+        assert local.value == whole[1].value
+        np.testing.assert_array_equal(local.per_node, whole[1].per_node)
+    assert_efficiencies(g, G)
+
+
+def test_unweighted_efficiencies_never_run_dijkstra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unweighted efficiencies reached Dijkstra")
+
+    g, G = as_network(random_gnp(5))
+    monkeypatch.setattr(metrics, "distance_matrix", refuse)
+    monkeypatch.setattr(metrics, "_sp", refuse)
+    assert_efficiencies(g, G)
+    weighted = Network(g.n, g.pairs, weights=np.ones(g.edge_count))
+    with pytest.raises(AssertionError, match="reached Dijkstra"):
+        global_efficiency(weighted)
+    with pytest.raises(AssertionError, match="reached Dijkstra"):
+        local_efficiency(weighted)

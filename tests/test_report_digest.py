@@ -1,0 +1,41 @@
+"""scripts/report_digest.py on the bundled config: one digest per config on
+stdout, one SHA-256 per report file on stderr, the same on every run."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "report_digest.py"
+CONFIG = str(ROOT / "src" / "fcnets" / "data" / "config.json")
+spec = importlib.util.spec_from_file_location("report_digest", SCRIPT)
+report_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(report_digest)
+
+
+def test_bundled_config_digests_are_equal_across_runs(capsys):
+    report_digest.main([str(ROOT), CONFIG, CONFIG])
+    out, err = capsys.readouterr()
+    first, second = out.splitlines()
+    assert first == second
+    digest, config = first.split()
+    assert config == CONFIG and len(digest) == 64
+    lines = [line.split() for line in err.splitlines()]
+    assert len(lines) % 2 == 0
+    half = len(lines) // 2
+    assert lines[:half] == lines[half:]
+    names = [name for _, name, _ in lines[:half]]
+    assert names == sorted(names) and "metrics.json" in names and "provenance.json" not in names
+    assert all(c == CONFIG and len(d) == 64 for d, _, c in lines)
+
+
+def test_file_digests_are_the_sha256_of_each_report(tmp_path, capsys):
+    from fcnets.cli import main
+
+    assert main(["pipeline", "--config", CONFIG, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, files = report_digest.report_digest(str(ROOT), CONFIG)
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "provenance.json")
+    assert sorted(files) == written
+    for name in written:
+        assert files[name] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

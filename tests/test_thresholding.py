@@ -194,11 +194,35 @@ def test_ranked_pairs_match_the_lexsort_ranking(n):
     with_nan = sym(n, rng)
     with_nan[0, 1] = with_nan[n - 2, n - 1] = np.nan
     cases += [with_nan, np.zeros((n, n)), np.full((n, n), -0.0)]
+    size = n * (n - 1) // 2
     for vals in cases:
-        got, want = _ranked_pairs(vals, n), _lexsort_ranking(vals, n)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-        assert np.array_equal(np.signbit(got[2]), np.signbit(want[2]))
+        want = _lexsort_ranking(vals, n)
+        # every prefix, from none of the pairs to all of them, as well as the
+        # full ranking; rounded and zero matrices put ties at the cut
+        for count in [None, *range(size + 1)]:
+            got = _ranked_pairs(vals, n, count)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b[:count])
+            assert np.array_equal(np.signbit(got[2]), np.signbit(want[2][:count]))
+
+
+@pytest.mark.parametrize("negatives", ["drop", "absolute"])
+def test_fixed_degree_and_density_keep_the_lexsort_prefix(negatives):
+    rng = np.random.default_rng(11)
+    n = 30
+    size = n * (n - 1) // 2
+    for rounded in (False, True):
+        vals = sym(n, rng)
+        if rounded:
+            vals = np.round(vals, 1)  # many ties at every cut
+        ranked = np.abs(vals) if negatives == "absolute" else vals
+        ii, jj, _ = _lexsort_ranking(ranked, n)
+        for E in (0, 1, 7, 100, 217, size - 1, size):
+            net = apply_fixed_degree(cm_from(vals), k_target=2 * E / n, negatives=negatives)
+            assert net.edges == sorted(zip(ii[:E].tolist(), jj[:E].tolist()))
+            if E:
+                net = apply_fixed_density(cm_from(vals), density=E / size, negatives=negatives)
+                assert net.edges == sorted(zip(ii[:E].tolist(), jj[:E].tolist()))
 
 
 def test_fixed_degree_overflow():
