@@ -56,7 +56,11 @@ def _edge_panel(group_a, group_b):
 
 
 def _t_for_labels(X, labels_a):
-    """Pooled-variance two-sample t for each row of boolean label matrix."""
+    """Pooled-variance two-sample t for each row of boolean label matrix.
+
+    The variances are one-pass sums, exact enough on the per-edge centred
+    panel of `_edge_panel`.
+    """
     na = labels_a.sum(axis=1, keepdims=True).astype(float)
     nb = labels_a.shape[1] - na
     sa = labels_a @ X
