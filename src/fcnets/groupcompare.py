@@ -9,8 +9,9 @@ pairwise-neighboring edges. Edges whose group t statistic crosses a primary
 threshold are clustered, and each observed cluster's size is tested against
 the permutation distribution of the maximum cluster size. That null is built
 in chunks of a fixed number of permutations, so memory does not grow with
-the permutation count. Family-wise p-values use the add-one convention
-(b + 1) / (P + 1).
+the permutation count, and every chunk's t statistics are computed in one
+workspace allocated once per test. Family-wise p-values use the add-one
+convention (b + 1) / (P + 1).
 """
 
 from __future__ import annotations
@@ -55,25 +56,42 @@ def _edge_panel(group_a, group_b):
     return n, X - X.mean(axis=0), observed
 
 
-def _t_for_labels(X, labels_a):
+def _t_for_labels(X, X2, labels_a, work):
     """Pooled-variance two-sample t for each row of boolean label matrix.
 
-    The variances are one-pass sums, exact enough on the per-edge centred
-    panel of `_edge_panel`.
+    X2 is X**2. work is a (5, rows, edges) float workspace, allocated once per
+    test, with at least as many rows as labels_a; every intermediate goes into
+    work[:, :len(labels_a)] with out=, in the order of the plain formula, and t
+    is returned as a view of work[0]. The variances are one-pass sums, exact
+    enough on the per-edge centred panel of `_edge_panel`.
     """
+    sa, sb, va, vb, tmp = work[:, : len(labels_a)]
     na = labels_a.sum(axis=1, keepdims=True).astype(float)
     nb = labels_a.shape[1] - na
-    sa = labels_a @ X
-    sb = (~labels_a) @ X
-    sqa = labels_a @ (X**2)
-    sqb = (~labels_a) @ (X**2)
-    ma, mb = sa / na, sb / nb
-    va = (sqa - na * ma**2) / (na - 1)
-    vb = (sqb - nb * mb**2) / (nb - 1)
-    sp = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
-    denom = np.sqrt(sp * (1 / na + 1 / nb))
+    labels_b = ~labels_a
+    np.matmul(labels_a, X, out=sa)
+    np.matmul(labels_b, X, out=sb)
+    np.matmul(labels_a, X2, out=va)
+    np.matmul(labels_b, X2, out=vb)
+    ma, mb = np.divide(sa, na, out=sa), np.divide(sb, nb, out=sb)
+    for v, m, k in ((va, ma, na), (vb, mb, nb)):  # v = (sq - k * m**2) / (k - 1)
+        np.square(m, out=tmp)
+        tmp *= k
+        v -= tmp
+        v /= k - 1
+    va *= na - 1  # pooled: ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
+    vb *= nb - 1
+    va += vb
+    va /= na + nb - 2
+    va *= 1 / na + 1 / nb
+    denom = np.sqrt(va, out=va)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (ma - mb) / denom
+        return np.divide(np.subtract(ma, mb, out=ma), denom, out=ma)
+
+
+def _t_workspace(rows, edges):
+    """Work buffers for `_t_for_labels` on up to rows label rows."""
+    return np.empty((5, rows, edges))
 
 
 @dataclass
@@ -104,7 +122,7 @@ def edgewise_compare(group_a, group_b, correction="bh-fdr"):
     flagged undefined with p NaN and q = 1, and neither correction counts it.
     """
     n, X, observed = _edge_panel(group_a, group_b)
-    t = _t_for_labels(X, observed)[0]
+    t = _t_for_labels(X, X**2, observed, _t_workspace(1, X.shape[1]))[0]
     na = len(group_a)
     constant = (np.ptp(X[:na], axis=0) == 0) & (np.ptp(X[na:], axis=0) == 0)
     undefined = constant | ~np.isfinite(t)
@@ -147,13 +165,14 @@ class ComponentResult:
         return [c for c, p in zip(self.clusters, self.fwe_p) if p < alpha]
 
 
-def _supra_mask(t, threshold, alternative):
+def _supra_mask(t, threshold, alternative, scratch):
+    """Supra-threshold edges of each row of t; |t| or -t goes into scratch."""
     if alternative == "two_sided":
-        return np.abs(t) > threshold
+        return np.abs(t, out=scratch) > threshold
     if alternative == "greater":
         return t > threshold
     if alternative == "less":
-        return -t > threshold
+        return np.negative(t, out=scratch) > threshold
     raise ValueError(f"unknown alternative {alternative!r}")
 
 
@@ -228,14 +247,19 @@ def _cluster_permutation_test(
     row and returns (row, edge index, cluster label) per edge; clusters with
     fewer than min_edges edges are dropped. Permutation p relabels subjects
     with rng_for(seed, f"{method}_perm", p), and the null is built in chunks
-    of _PERMUTATION_CHUNK permutations.
+    of _PERMUTATION_CHUNK permutations whose t statistics share one workspace.
+    t_threshold must be > 0.
     """
     if permutations < 100:
         raise ValueError("need at least 100 permutations")
+    if not t_threshold > 0:
+        raise ValueError(f"t_threshold must be > 0, got {t_threshold!r}")
     n, X, observed = _edge_panel(group_a, group_b)
     iu, ju = np.triu_indices(n, 1)
-    t_obs = _t_for_labels(X, observed)
-    _, edges, labels = clusters(n, iu, ju, _supra_mask(t_obs, t_threshold, alternative))
+    X2, work = X**2, _t_workspace(min(_PERMUTATION_CHUNK, permutations), X.shape[1])
+    t_obs = _t_for_labels(X, X2, observed, work)
+    mask = _supra_mask(t_obs, t_threshold, alternative, work[4, :1])
+    _, edges, labels = clusters(n, iu, ju, mask)
     found = _cluster_lists(edges, labels, min_edges)
     found.sort(key=lambda c: (-len(c), c))
     n_total, tag = X.shape[0], f"{method}_perm"
@@ -245,8 +269,9 @@ def _cluster_permutation_test(
         shuffled = np.zeros((len(perms), n_total), dtype=bool)
         for row, p in enumerate(perms):
             shuffled[row, rng_for(seed, tag, p).permutation(n_total)[: len(group_a)]] = True
-        t = _t_for_labels(X, shuffled)
-        rows, _, labels = clusters(n, iu, ju, _supra_mask(t, t_threshold, alternative))
+        t = _t_for_labels(X, X2, shuffled, work)
+        mask = _supra_mask(t, t_threshold, alternative, work[4, : len(perms)])
+        rows, _, labels = clusters(n, iu, ju, mask)
         null_max[lo : perms.stop] = _max_cluster_sizes(rows, labels, len(perms), min_edges)
     sizes = [len(c) for c in found]
     return ComponentResult(
@@ -277,7 +302,10 @@ def nbs(group_a, group_b, t_threshold, permutations=1000, seed=0, alternative="t
 
 
 def adjacency_from_coordinates(coordinates, radius):
-    """Spatial node adjacency: pairs closer than radius (Euclidean)."""
+    """Spatial node adjacency: distinct positions at most radius apart
+    (Euclidean). radius must be > 0."""
+    if not radius > 0:
+        raise ValueError(f"radius must be > 0, got {radius!r}")
     coords = np.asarray(coordinates, dtype=float)
     d = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
     adj = (d > 0) & (d <= radius)

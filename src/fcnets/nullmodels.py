@@ -219,12 +219,17 @@ class PowerLawFit:
 _ALPHA_GRID = np.concatenate([np.linspace(1.02, 4.0, 300), np.linspace(4.02, 8.0, 100)])
 
 
-def _mle_alpha(tail, x_min):
-    """Discrete power-law MLE via a grid over the exponent plus parabolic refine."""
+def _mle_alpha(tail, x_min, log_zeta):
+    """Discrete power-law MLE via a grid over the exponent plus parabolic refine.
+
+    log_zeta caches log zeta(_ALPHA_GRID, x_min) by x_min; one powerlaw_fit
+    shares it between its observed fit and its bootstrap refits.
+    """
     n = tail.size
     slog = np.sum(np.log(tail))
-    z = zeta(_ALPHA_GRID, x_min)
-    ll = -_ALPHA_GRID * slog - n * np.log(z)
+    if x_min not in log_zeta:
+        log_zeta[x_min] = np.log(zeta(_ALPHA_GRID, x_min))
+    ll = -_ALPHA_GRID * slog - n * log_zeta[x_min]
     k = int(np.argmax(ll))
     if 0 < k < ll.size - 1:
         a0, a1, a2 = _ALPHA_GRID[k - 1 : k + 2]
@@ -256,8 +261,9 @@ def _ks_distance(tail, alpha, x_min):
     return float(np.max(np.abs(emp - cdf)))
 
 
-def _fit_tail(values, min_tail=50):
-    """Pick x_min by KS over candidates with enough tail mass; fit alpha."""
+def _fit_tail(values, min_tail, log_zeta):
+    """Pick x_min by KS over candidates with enough tail mass; fit alpha
+    (log_zeta as in _mle_alpha)."""
     values = np.asarray(values, dtype=int)
     candidates = np.unique(values)
     best = None
@@ -265,7 +271,7 @@ def _fit_tail(values, min_tail=50):
         tail = values[values >= xm]
         if tail.size < min_tail:
             break
-        alpha, loglik = _mle_alpha(tail.astype(float), int(xm))
+        alpha, loglik = _mle_alpha(tail.astype(float), int(xm), log_zeta)
         D = _ks_distance(tail, alpha, int(xm))
         if best is None or D < best[2]:
             best = (float(alpha), int(xm), D, loglik, tail.size)
@@ -333,7 +339,8 @@ def powerlaw_fit(degrees, bootstrap_reps=200, seed=0, min_tail=50):
     values = values[values > 0]
     if values.size == 0 or np.unique(values).size < 2:
         raise ValueError("degree sequence is constant or empty; nothing to fit")
-    alpha, x_min, D_obs, pure_ll, tail_n = _fit_tail(values, min_tail)
+    log_zeta = {}
+    alpha, x_min, D_obs, pure_ll, tail_n = _fit_tail(values, min_tail, log_zeta)
     rng = rng_for(seed, "powerlaw_gof")
     below = values[values < x_min]
     n = values.size
@@ -351,7 +358,7 @@ def powerlaw_fit(degrees, bootstrap_reps=200, seed=0, min_tail=50):
             else:
                 synth[n_tail:] = _draw(table, n - n_tail, rng)
         try:
-            _, _, D_b, _, _ = _fit_tail(synth, min_tail)
+            _, _, D_b, _, _ = _fit_tail(synth, min_tail, log_zeta)
         except ValueError:
             D_b = np.inf
         if D_b >= D_obs:

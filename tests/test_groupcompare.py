@@ -1,5 +1,7 @@
 """Edgewise tests, component clustering (nbs), and spatial pairwise clustering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,6 +9,9 @@ from scipy.sparse.csgraph import connected_components
 
 from fcnets.estimators import ConnectionMatrix
 from fcnets.groupcompare import (
+    _PERMUTATION_CHUNK,
+    _edge_panel,
+    _t_for_labels,
     adjacency_from_coordinates,
     edgewise_compare,
     nbs,
@@ -333,3 +338,64 @@ def test_null_distribution_matches_per_permutation_oracle(method, permutations):
     assert res.sizes[0] == max_cluster(observed)
     expected_p = [(np.sum(null_max >= s) + 1) / (permutations + 1) for s in res.sizes]
     assert res.fwe_p == expected_p
+
+
+def _plain_t(X, labels_a):
+    """The pooled t formula written with fresh arrays, in the order `_t_for_labels` keeps."""
+    na = labels_a.sum(axis=1, keepdims=True).astype(float)
+    nb = labels_a.shape[1] - na
+    sa, sb = labels_a @ X, (~labels_a) @ X
+    sqa, sqb = labels_a @ (X**2), (~labels_a) @ (X**2)
+    ma, mb = sa / na, sb / nb
+    va = (sqa - na * ma**2) / (na - 1)
+    vb = (sqb - nb * mb**2) / (nb - 1)
+    sp = ((na - 1) * va + (nb - 1) * vb) / (na + nb - 2)
+    denom = np.sqrt(sp * (1 / na + 1 / nb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (ma - mb) / denom
+
+
+def _label_block(rng, rows, total, n_a):
+    labels = np.zeros((rows, total), dtype=bool)
+    for r in range(rows):
+        labels[r, rng.permutation(total)[:n_a]] = True
+    return labels
+
+
+@pytest.mark.parametrize("total", [4, 5, 17, 40, 60])
+def test_t_in_a_reused_workspace_is_bitwise_the_plain_formula(total):
+    rng = np.random.default_rng(total)
+    edges = 301
+    spread = 10.0 ** rng.uniform(-9, 0, edges)  # per-edge scale, 1e-9 to 1
+    X = rng.standard_normal((total, edges)) * spread + rng.uniform(-1, 1, edges)
+    X -= X.mean(axis=0)
+    work = np.full((5, _PERMUTATION_CHUNK, edges), np.nan)
+    # a full block first, so the shorter blocks run on a workspace holding stale rows
+    for rows in (64, 63, 1, 64, 1):
+        labels = _label_block(rng, rows, total, int(rng.integers(2, total - 1)))
+        got = _t_for_labels(X, X**2, labels, work)
+        want = _plain_t(X, labels)
+        assert got.shape == (rows, edges)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_edgewise_t_is_bitwise_the_plain_formula():
+    ga, gb = make_groups(9, subjects=7, seed=14, paired_noise=False)
+    n, X, observed = _edge_panel(ga, gb)
+    got = edgewise_compare(ga, gb).t
+    assert np.array_equal(got.view(np.uint64), _plain_t(X, observed)[0].view(np.uint64))
+
+
+def test_nbs_peak_memory_stays_within_eight_chunk_arrays():
+    # 40 subjects at n = 90: one chunk of t statistics is 64 x 4,005 float64;
+    # fresh temporaries per chunk peaked at about 12.7 such arrays
+    rng = np.random.default_rng(15)
+    n = 90
+    mats = [cm_from_z(0.3 * rng.standard_normal(n * (n - 1) // 2), n) for _ in range(40)]
+    tracemalloc.start()
+    try:
+        nbs(mats[:20], mats[20:], t_threshold=3.0, permutations=500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * _PERMUTATION_CHUNK * 4005 * 8

@@ -1,5 +1,6 @@
 """Null models: rewiring, lattice references, small-world indices, power laws."""
 
+import dataclasses
 import itertools
 import warnings
 
@@ -9,6 +10,7 @@ from scipy.special import zeta
 from scipy.stats import chisquare
 
 from conftest import cycle_graph, erdos_renyi, ring_lattice, star_graph, watts_strogatz
+from fcnets import nullmodels
 from fcnets.networks import BinaryNetwork, Network
 from fcnets.nullmodels import (
     _SWAP_BLOCK,
@@ -280,6 +282,41 @@ def test_powerlaw_detects_exponential_cutoff(rng):
     fit = powerlaw_fit(keep[:2000], bootstrap_reps=0, seed=1, min_tail=50)
     assert fit.truncated_loglik - fit.pure_loglik > 3.0
     assert fit.truncated_rate > 0.05
+
+
+class _ForgetfulCache(dict):
+    """A zeta-grid cache that never reports a hit, so every grid is recomputed."""
+
+    def __contains__(self, key):
+        return False
+
+
+def test_powerlaw_fit_computes_each_zeta_grid_once(rng, monkeypatch):
+    draws = sample_powerlaw(2.5, 1, 1000, rng)
+    grids = []  # the x_min of every zeta call over the whole exponent grid
+
+    def counting_zeta(alpha, x_min):
+        if np.ndim(alpha):
+            grids.append(int(x_min))
+        return zeta(alpha, x_min)
+
+    monkeypatch.setattr(nullmodels, "zeta", counting_zeta)
+    cached = powerlaw_fit(draws, bootstrap_reps=19, seed=3)
+    cached_grids = list(grids)
+    assert cached_grids and len(cached_grids) == len(set(cached_grids))
+
+    grids.clear()
+    fit_tail = nullmodels._fit_tail
+    monkeypatch.setattr(
+        nullmodels, "_fit_tail", lambda values, min_tail, _: fit_tail(values, min_tail, _ForgetfulCache())
+    )
+    recomputed = powerlaw_fit(draws, bootstrap_reps=19, seed=3)
+    assert len(grids) > len(cached_grids) and set(grids) == set(cached_grids)
+
+    def bits(fit):
+        return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(fit)]
+
+    assert bits(cached) == bits(recomputed)
 
 
 def test_powerlaw_fit_guards():

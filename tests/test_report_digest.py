@@ -39,3 +39,35 @@ def test_file_digests_are_the_sha256_of_each_report(tmp_path, capsys):
     assert sorted(files) == written
     for name in written:
         assert files[name] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+ALLTYPES = ROOT / "scripts" / "alltypes_config.py"
+spec = importlib.util.spec_from_file_location("alltypes_config", ALLTYPES)
+alltypes_config = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(alltypes_config)
+
+
+def test_alltypes_config_validates_covers_every_analysis_and_regenerates_identically(tmp_path):
+    from fcnets.metrics import METRIC_NAMES
+    from fcnets.pipeline import ANALYSIS_TYPES, load_config
+
+    first = alltypes_config.write_alltypes(str(tmp_path / "a"))
+    second = alltypes_config.write_alltypes(str(tmp_path / "b"))
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    config = load_config(first, out_dir=str(tmp_path / "out"))
+    assert config.raw == load_config(second, out_dir=str(tmp_path / "out")).raw
+    assert {kind for kind, _, _ in config.analyses} == set(ANALYSIS_TYPES)
+    compares = {
+        (p["method"], p["correction"] if p["method"] == "edgewise" else None)
+        for kind, _, p in config.analyses
+        if kind == "compare"
+    }
+    assert compares == {("edgewise", "bonferroni"), ("edgewise", "bh-fdr"), ("nbs", None), ("spc", None)}
+    metrics = next(p for kind, _, p in config.analyses if kind == "metrics")["metrics"]
+    assert sorted(metrics) == sorted(METRIC_NAMES)
+    community = next(p for kind, _, p in config.analyses if kind == "community")
+    assert community["cartography"]
