@@ -236,36 +236,24 @@ def test_compare_nbs_on_sample_groups(capsys):
     assert len(report["fwe_p"]) == len(report["clusters"])
 
 
-@pytest.mark.parametrize("method", ["nbs", "spc"])
-@pytest.mark.parametrize("threshold", ["nan", "-1", "0"])
-def test_compare_rejects_a_threshold_that_is_not_positive(capsys, method, threshold):
+@pytest.mark.parametrize(
+    "flags, needle",
+    [(["--method", m, "--t-threshold", t], "t_threshold") for m in ("nbs", "spc") for t in ("nan", "-1", "0")]
+    + [(["--method", "spc", "--t-threshold", "2.5", "--radius", r], "radius") for r in ("-1", "0", "nan")],
+)
+def test_compare_rejects_a_threshold_or_radius_that_is_not_positive(capsys, flags, needle):
     # the pipeline rejects these through its bounds; NaN would write "t_threshold": NaN
     groups_a = [DATA / f"group_a_{i}.csv" for i in range(6)]
     groups_b = [DATA / f"group_b_{i}.csv" for i in range(6)]
     code, out, err = run_cli(
         capsys,
-        "compare", "--group-a", *groups_a, "--group-b", *groups_b, "--method", method,
-        "--coordinates", DATA / "coordinates.csv", "--t-threshold", threshold,
+        "compare", "--group-a", *groups_a, "--group-b", *groups_b,
+        "--coordinates", DATA / "coordinates.csv", *flags,
     )
     assert code == 1 and out == ""
     report = json.loads(err)
     assert report["error"] == "ValueError"
-    assert report["message"].startswith("t_threshold must be > 0")
-
-
-@pytest.mark.parametrize("radius", ["-1", "0", "nan"])
-def test_compare_spc_rejects_a_radius_that_is_not_positive(capsys, radius):
-    groups_a = [DATA / f"group_a_{i}.csv" for i in range(6)]
-    groups_b = [DATA / f"group_b_{i}.csv" for i in range(6)]
-    code, out, err = run_cli(
-        capsys,
-        "compare", "--group-a", *groups_a, "--group-b", *groups_b, "--method", "spc",
-        "--coordinates", DATA / "coordinates.csv", "--t-threshold", "2.5", "--radius", radius,
-    )
-    assert code == 1 and out == ""
-    report = json.loads(err)
-    assert report["error"] == "ValueError"
-    assert report["message"].startswith("radius must be > 0")
+    assert report["message"].startswith(f"{needle} must be > 0")
 
 
 def test_compare_edgewise_reports_tables(capsys):
