@@ -73,14 +73,19 @@ def _neighbor_weights(g):
 
 
 def _louvain_level(nbrs, n, m, rng):
-    """One Louvain level: greedy local moves until no gain; returns assignment."""
-    comm = np.arange(n)
-    strength = np.array([sum(d.values()) for d in nbrs])
-    comm_total = strength.astype(float).copy()  # total strength per community
+    """One Louvain level: greedy local moves until no gain; returns assignment.
+
+    The sweep works on Python lists and floats, which round as numpy's
+    float64 does, so only the interpreter overhead differs from array code.
+    """
+    comm = list(range(n))
+    strength = [sum(d.values()) for d in nbrs]
+    comm_total = list(strength)  # total strength per community
+    two_m = 2 * m
     improved_any = False
     while True:
         moved = 0
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             ci = comm[i]
             ki = strength[i]
             # weights from i to each neighboring community
@@ -88,14 +93,15 @@ def _louvain_level(nbrs, n, m, rng):
             for j, w in nbrs[i].items():
                 if j == i:
                     continue
-                to_comm[comm[j]] = to_comm.get(comm[j], 0.0) + w
+                cj = comm[j]
+                to_comm[cj] = to_comm.get(cj, 0.0) + w
             comm_total[ci] -= ki
-            base = to_comm.get(ci, 0.0) - ki * comm_total[ci] / (2 * m)
+            base = to_comm.get(ci, 0.0) - ki * comm_total[ci] / two_m
             best_c, best_gain = ci, 0.0
             for c, w_ic in to_comm.items():
                 if c == ci:
                     continue
-                gain = (w_ic - ki * comm_total[c] / (2 * m)) - base
+                gain = (w_ic - ki * comm_total[c] / two_m) - base
                 if gain > best_gain + 1e-12:
                     best_gain = gain
                     best_c = c
@@ -106,7 +112,7 @@ def _louvain_level(nbrs, n, m, rng):
         if moved == 0:
             break
         improved_any = True
-    return comm, improved_any
+    return np.array(comm), improved_any
 
 
 def louvain(g, seed=0):
@@ -136,10 +142,11 @@ def louvain(g, seed=0):
         # aggregate into a supergraph; self-loop weight ends up counted twice,
         # which is what community strength (degree sum) requires
         nbrs2 = [dict() for _ in range(nc)]
+        ids = comp.tolist()
         for i in range(n_cur):
-            ci = comp[i]
+            ci = ids[i]
             for j, w in nbrs[i].items():
-                cj = comp[j]
+                cj = ids[j]
                 if ci == cj:
                     nbrs2[ci][ci] = nbrs2[ci].get(ci, 0.0) + w
                 else:

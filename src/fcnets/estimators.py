@@ -26,13 +26,12 @@ class ConnectionMatrix:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
+        values = np.array(self.values, dtype=float)
+        if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError("values must be square")
-        if not np.allclose(self.values, self.values.T, atol=1e-12):
+        if not _symmetrise(values[None])[0]:
             raise ValueError("values must be symmetric")
-        self.values = (self.values + self.values.T) / 2.0
-        np.fill_diagonal(self.values, 0.0)
+        self.values = values
 
     @property
     def n(self):
@@ -73,13 +72,52 @@ def _check_variance(series):
         raise ValueError(f"zero-variance series at node(s) {bad.tolist()}")
 
 
+def _correlations(stack):
+    """Pearson correlations of each (n, T) slice of a (b, n, T) stack, and a
+    (b, n) mask of the nodes with zero variance. stack is centred in place.
+
+    The operations are np.corrcoef's, in its order: centre, X @ X^T, scale
+    by 1 / (T - 1), divide by the root of the diagonal on each side, clip to
+    [-1, 1]. A node has zero variance exactly when its centred sum of
+    squares, the diagonal, is 0; its row and column are then left unscaled,
+    and its slice is no correlation matrix.
+    """
+    stack -= stack.mean(axis=-1, keepdims=True)
+    r = np.matmul(stack, stack.transpose(0, 2, 1))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    zero = diag == 0
+    r *= 1.0 / max(stack.shape[-1] - 1, 1)
+    sd = np.sqrt(diag)
+    sd[zero] = 1.0
+    r /= sd[:, :, None]
+    r /= sd[:, None, :]
+    np.clip(r, -1.0, 1.0, out=r)
+    return r, zero
+
+
+def _symmetrise(values):
+    """Average each (n, n) slice of a (b, n, n) stack with its transpose and
+    zero its diagonal, in place. Returns the (b,) mask of slices that were
+    symmetric to within np.allclose(atol=1e-12) beforehand. A slice at a
+    time, the temporaries stay the size of one matrix."""
+    ok = np.empty(len(values), dtype=bool)
+    for k, v in enumerate(values):
+        ok[k] = np.allclose(v, v.T, atol=1e-12)
+        np.divide(v + v.T, 2.0, out=v)
+        np.fill_diagonal(v, 0.0)
+    return ok
+
+
 def correlation_matrix(series):
-    """Pearson correlation for every node pair."""
-    series = np.asarray(series, dtype=float)
-    _check_variance(series)
-    r = np.corrcoef(series)
-    r = np.clip(r, -1.0, 1.0)
-    return ConnectionMatrix(r, "correlation", {})
+    """Pearson correlation for every node pair (`_correlations` on a stack of one)."""
+    series = np.array(series, dtype=float)
+    if series.ndim != 2:
+        raise ValueError("series must be a 2-d node x time array")
+    r, zero = _correlations(series[None])
+    bad = np.flatnonzero(zero[0])
+    if bad.size:
+        raise ValueError(f"zero-variance series at node(s) {bad.tolist()}")
+    return ConnectionMatrix(r[0], "correlation", {})
 
 
 def partial_correlation_matrix(series, shrinkage=0.0):

@@ -8,7 +8,9 @@ pairs; unreachable pairs contribute zero to efficiencies and are excluded
 Unweighted path length, efficiencies and triangle counts run on packed
 bitsets (uint64 words, one bit per node or source). Path length and global
 efficiency count ordered pairs by hop distance with a breadth-first search
-from a block of sources at once, one bit per source (Then et al. 2014).
+from a block of sources at once, one bit per source (Then et al. 2014);
+graphs held as the diagonal blocks of one network search together
+(`block_global_efficiencies`).
 Triangles are popcounts of adjacency-row intersections, and local efficiency
 runs the same search on every node's neighbour subgraph at once, whose edges
 are those intersections. All of them count exact integers. Weighted path
@@ -156,25 +158,29 @@ def _levels(front, nbr, indptr):
     """Breadth-first levels from the source bits in `front`, one level per item.
 
     front holds a row of source bits for each node of the graph whose
-    neighbour lists are CSR (indptr, nbr). A level ORs the frontier rows of
-    each node's neighbours (one reduceat over the CSR slots) and drops the
-    bits already seen; it yields the nodes with neighbours and the popcount
-    of each one's newly reached bits, until a level reaches nothing. Nodes
-    without neighbours are left out of the reduceat, which would give an
-    empty segment its next element.
+    neighbour lists are CSR (indptr, nbr). The search runs on the nodes
+    with neighbours only: no node lists one without, and the reduceat
+    would give its empty segment the next element. A level ORs the
+    frontier rows of each node's neighbours (one reduceat over the CSR
+    slots) and keeps the bits not yet seen; it yields the nodes with
+    neighbours and the popcount of each one's newly reached bits, until a
+    level reaches nothing.
     """
     linked = np.flatnonzero(np.diff(indptr))
     starts = indptr[linked]
-    seen = front.copy()
+    position = np.zeros(len(indptr) - 1, dtype=np.int64)
+    position[linked] = np.arange(linked.size)
+    nbr = position[nbr]
+    front = front[linked]
+    unseen = ~front
     while True:
-        reached = np.bitwise_or.reduceat(front[nbr], starts, axis=0) & ~seen[linked]
-        found = np.bitwise_count(reached).sum(axis=1)
+        front = np.bitwise_or.reduceat(front[nbr], starts, axis=0)
+        front &= unseen
+        found = np.bitwise_count(front).sum(axis=1)
         if not found.any():
             return
         yield linked, found
-        front = np.zeros_like(seen)
-        front[linked] = reached
-        seen |= front
+        unseen ^= front
 
 
 def _local_inverse_sums(g):
@@ -298,18 +304,16 @@ def global_efficiency(g):
 
     Unweighted networks sum c_l / l over the counts c_l of ordered pairs at
     each hop distance l (`_hop_counts`) as an exact fraction and divide
-    once, so the value is correctly rounded. Weighted ones average the
-    inverses of scipy's Dijkstra distances with 1/weight lengths.
-    Unreachable ordered pairs contribute 0 and are counted.
+    once, so the value is correctly rounded (`block_global_efficiencies`
+    with one block). Weighted ones average the inverses of scipy's Dijkstra
+    distances with 1/weight lengths. Unreachable ordered pairs contribute 0
+    and are counted.
     """
     n = g.n
     if n < 2:
         return MetricReport("global_efficiency", 0.0)
     if g.weights is None:
-        counts = _hop_counts(g)
-        total = sum((Fraction(c, level) for level, c in enumerate(counts, start=1) if c), Fraction(0))
-        value = float(total / (n * (n - 1)))
-        unreachable = n * (n - 1) - sum(counts)
+        [(value, unreachable)] = block_global_efficiencies(g, n)
     else:
         D = distance_matrix(g)
         with np.errstate(divide="ignore"):
@@ -321,22 +325,46 @@ def global_efficiency(g):
     return MetricReport("global_efficiency", value, unreachable_pair_count=unreachable)
 
 
-def _hop_counts(g):
-    """Ordered node pairs at each hop distance 1, 2, ..., n (a list of n ints).
+def block_global_efficiencies(g, size):
+    """(global efficiency, unreachable ordered pairs) of each graph that an
+    unweighted g holds as its diagonal blocks of `size` nodes, with no edge
+    between blocks; a block of fewer than 2 nodes has efficiency 0.
 
-    A block of b sources searches at once (`_levels`) on (n, ceil(b / 64))
-    bitsets whose row v holds one bit per source, and each level's new
-    pairs are counted by popcount.
+    Every block counts its pairs by hop distance in one search
+    (`_hop_counts`); each value is the correctly rounded exact fraction
+    sum over l of c_l / l, over size * (size - 1).
+    """
+    pairs = size * (size - 1)
+    out = []
+    for counts in _hop_counts(g, size).tolist():
+        total = sum((Fraction(c, level) for level, c in enumerate(counts, start=1) if c), Fraction(0))
+        out.append((float(total / pairs) if pairs else 0.0, pairs - sum(counts)))
+    return out
+
+
+def _hop_counts(g, size=None):
+    """Ordered node pairs at each hop distance 1, 2, ..., size within each
+    diagonal block of `size` nodes of g (default one block, the whole
+    graph): a (g.n // size, size) int64 array, one row per block. No edge
+    may join two blocks.
+
+    A block of b sources of every graph searches at once (`_levels`) on
+    (n, ceil(b / 64)) bitsets whose row v holds one bit per source of v's
+    graph, and each level's new pairs are counted by popcount and summed
+    per graph.
     """
     n = g.n
+    size = n if size is None else size
+    graphs = n // size if size else 1
     indptr, nbr, _ = _csr_edges(g)
-    counts = [0] * n
+    counts = np.zeros((graphs, size), dtype=np.int64)
     words = max(1, _BITSET_BLOCK // max(1, nbr.size))
-    for first in range(0, n, 64 * words):
-        sources = np.arange(first, min(n, first + 64 * words))
-        front = _bitset(n, sources, sources - first, sources.size)
-        for level, (_, found) in enumerate(_levels(front, nbr, indptr)):
-            counts[level] += int(found.sum())
+    for first in range(0, size, 64 * words):
+        sources = np.arange(first, min(size, first + 64 * words))
+        rows = (np.arange(graphs)[:, None] * size + sources).ravel()
+        front = _bitset(n, rows, np.tile(sources - first, graphs), sources.size)
+        for level, (linked, found) in enumerate(_levels(front, nbr, indptr)):
+            counts[:, level] += np.bincount(linked // size, weights=found, minlength=graphs).astype(np.int64)
     return counts
 
 
@@ -351,7 +379,7 @@ def path_length(g):
     """
     n = g.n
     if g.weights is None:
-        counts = _hop_counts(g)
+        counts = _hop_counts(g)[0].tolist()
         reachable = sum(counts)
         total = sum(level * c for level, c in enumerate(counts, start=1))
     else:

@@ -35,14 +35,17 @@ def rewire_preserving_degree(g, swaps_per_edge=10, seed=0):
     A proposal picks two edges (a, b), (c, d) and one of two orientations at
     random, replacing them by (a, d), (c, b) or by (a, c), (b, d); it is
     rejected when that creates a self-loop or a duplicate edge. Swapping
-    continues until swaps_per_edge * |edges| successes; 100 * |edges|
-    consecutive rejections trigger a warning and return the best effort.
+    continues until swaps_per_edge * |edges| successes, swaps_per_edge >= 1;
+    100 * |edges| consecutive rejections trigger a warning and return the
+    best effort.
 
     Only successes are counted, so the output follows the jump chain of the
     swap walk: a graph x is sampled with probability proportional to a(x),
     the number of accepted (edge, edge, orientation) proposals from x, not
     uniformly over the graphs with that degree sequence.
     """
+    if not swaps_per_edge >= 1:
+        raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge!r}")
     if g.weights is not None:
         raise ValueError("rewiring needs an unweighted network; pass g.binary()")
     if g.edge_count < 2:

@@ -94,7 +94,7 @@ ANALYSIS_PARAMS = {
         "subject": Param("subject", 0),
         "metric": Param("str", REQUIRED, metrics.METRIC_NAMES),
         "replicates": Param("int", 200, low=10),
-        "block_length": Param("int", None, low=1),
+        "block_length": Param("int", None, low=2),
         "level": Param("number", 0.05, low=0, high=1),
     },
 }

@@ -1,8 +1,14 @@
 """Uncertainty for derived network metrics via circular block bootstrap.
 
 Replicate panels resample whole time blocks with wraparound, using one set
-of block starts shared by every node so cross-node dependence survives. The
-full estimate -> threshold -> metric pipeline is re-run on each replicate.
+of block starts shared by every node so cross-node dependence survives.
+Every replicate goes through the full estimate -> threshold -> metric
+pipeline. Correlation thresholded at a fixed degree or density and measured
+by global efficiency runs in stacked chunks of _CHUNK replicates: one
+stacked correlation, one partition per replicate for its top edges, and one
+breadth-first search over the chunk's graphs as the blocks of one graph.
+Every other estimator, threshold and metric runs one replicate at a time.
+Both give the same values.
 
 Replicates recentre on the sample: each replicate correlation scatters
 around its sample value, not around the population value. For a thresholded
@@ -22,8 +28,11 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import estimators, thresholding
-from .metrics import metric_value
+from .metrics import block_global_efficiencies, metric_value
+from .networks import Network
 from .runtime import rng_for
+
+_CHUNK = 8  # replicates per stacked pass: the stack holds 8 * n * T floats
 
 
 def block_bootstrap(series, block_length=None, replicates=1, seed=0):
@@ -87,13 +96,18 @@ def metric_error(
     """Block-bootstrap distribution of a network metric.
 
     Each replicate re-runs estimation, thresholding, and the metric on a
-    block-bootstrap resample. Replicates whose pipeline raises (for example
-    a disconnected replicate under a path-length metric) are skipped; more
-    than max_failure_fraction failures aborts with an error.
+    block-bootstrap resample. Correlation under a fixed_degree or
+    fixed_density threshold with global_efficiency runs _CHUNK replicates
+    per stacked pass (`_stacked_replicates`); every other combination runs
+    one replicate at a time. Replicates whose pipeline raises (for example a
+    disconnected replicate under a path-length metric, or a node with zero
+    variance in the resample) are skipped; more than max_failure_fraction
+    failures aborts with an error.
 
     Returns a DeltaDistribution with the point estimate, bias (replicate
-    mean minus point), standard error, and two central intervals: the
-    percentile interval and the normal interval point +/- z * se.
+    mean minus point), standard error, and two central intervals at
+    0 < level < 1: the percentile interval and the normal interval
+    point +/- z * se.
 
     Replicates recentre on the sample. For thresholded exceedance metrics
     such as density this shifts the replicate mean away from the point, so
@@ -102,6 +116,8 @@ def metric_error(
     """
     if replicates < 10:
         raise ValueError("need at least 10 replicates")
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
     x = np.asarray(series, dtype=float)
 
     spec = threshold_spec or {"method": "fixed_threshold", "criterion": "value", "tau": 0.0}
@@ -112,17 +128,23 @@ def metric_error(
         return metric_value(g, metric)
 
     point = pipeline(x)
-    values = []
-    failed = 0
     if block_length is None:
         block_length = int(math.ceil(math.sqrt(x.shape[1])))
-    for _, resampled in block_bootstrap(
-        x, block_length=block_length, replicates=replicates, seed=seed
-    ):
-        try:
-            values.append(pipeline(resampled))
-        except (ValueError, RuntimeError):
-            failed += 1
+    draws = block_bootstrap(x, block_length=block_length, replicates=replicates, seed=seed)
+    stacked = (
+        estimator == "correlation"
+        and spec["method"] in thresholding.TOP_EDGE_METHODS
+        and metric == "global_efficiency"
+    )
+    if stacked:
+        values, failed = _stacked_replicates(draws, x.shape, spec)
+    else:
+        values, failed = [], 0
+        for _, resampled in draws:
+            try:
+                values.append(pipeline(resampled))
+            except (ValueError, RuntimeError):
+                failed += 1
     if failed > max_failure_fraction * replicates:
         raise RuntimeError(
             f"{failed} of {replicates} bootstrap replicates failed; the metric "
@@ -146,3 +168,40 @@ def metric_error(
         failed=failed,
         seed=int(seed),
     )
+
+
+def _stacked_replicates(draws, shape, spec):
+    """(global efficiencies, failure count) of the replicates in draws under
+    correlation and a fixed_degree or fixed_density spec, _CHUNK at a time.
+
+    Each chunk's resamples fill one reused (_CHUNK, n, T) stack. A replicate
+    fails, as `correlation_matrix` and `ConnectionMatrix` would fail it,
+    when a node has zero variance or its matrix is not symmetric; the
+    others keep their top edges (`thresholding.top_edge_masks`) as the
+    diagonal blocks of one network whose blocks are measured in one search
+    (`block_global_efficiencies`).
+    """
+    n, t = shape
+    stack = np.empty((_CHUNK, n, t))
+    iu, ju = np.triu_indices(n, 1)
+    values, failed = [], 0
+
+    def run(count):
+        r, zero = estimators._correlations(stack[:count])
+        ok = estimators._symmetrise(r) & ~zero.any(axis=1)
+        graph, pair = np.nonzero(thresholding.top_edge_masks(r, spec)[ok])
+        pairs = np.column_stack((graph * n + iu[pair], graph * n + ju[pair]))
+        blocks = Network(int(ok.sum()) * n, pairs)
+        values.extend(v for v, _ in block_global_efficiencies(blocks, n))
+        return count - int(ok.sum())
+
+    count = 0
+    for _, resampled in draws:
+        stack[count] = resampled
+        count += 1
+        if count == _CHUNK:
+            failed += run(count)
+            count = 0
+    if count:
+        failed += run(count)
+    return values, failed

@@ -28,13 +28,39 @@ def _round_half_up(x):
     return int(np.floor(x + 0.5))
 
 
-def _policy_values(cm, negatives):
+def _policy_values(values, negatives):
     if negatives not in ("drop", "absolute"):
         raise ValueError(f"unknown negative policy {negatives!r}")
-    vals = cm.values.copy()
-    if negatives == "absolute":
-        vals = np.abs(vals)
-    return vals
+    return np.abs(values) if negatives == "absolute" else values
+
+
+def _top_pairs(w, count):
+    """(b, P) mask of the `count` largest entries of each row of w, with ties
+    at the cut taken in column order and NaN ranked last.
+
+    One partition per row finds the count-th value (the cut), and every
+    entry above or at it is kept. A NaN cut means fewer than count entries
+    are not NaN: all of those are above it and the NaNs tie at it. Only when
+    some row then keeps more than count entries are its ties counted off in
+    column order.
+    """
+    if count <= 0:
+        return np.zeros(w.shape, dtype=bool)
+    if count >= w.shape[1]:
+        return np.ones(w.shape, dtype=bool)
+    neg = -w
+    cut = np.partition(neg, count - 1, axis=1)[:, count - 1 : count]
+    above, at = neg < cut, neg == cut
+    nan_cut = np.isnan(cut)
+    if nan_cut.any():
+        nan = np.isnan(neg)
+        above |= nan_cut & ~nan
+        at |= nan_cut & nan
+    keep = above | at
+    if np.count_nonzero(keep) > count * len(keep):
+        room = count - np.count_nonzero(above, axis=1, keepdims=True)
+        keep = above | (at & (np.cumsum(at, axis=1) <= room))
+    return keep
 
 
 def _ranked_pairs(vals, n, count=None):
@@ -42,17 +68,15 @@ def _ranked_pairs(vals, n, count=None):
     (i, j) lexicographic: the stable sort keeps within ties the (i, j) order
     np.triu_indices yields, and NaN ranks last.
 
-    A prefix does not sort every pair: a partition finds the count-th value,
-    and only the pairs at or above it (all pairs, if that value is NaN) are
-    sorted.
+    A prefix does not sort every pair: `_top_pairs` picks it, and only its
+    pairs are sorted.
     """
     iu, ju = np.triu_indices(n, 1)
     w = vals[iu, ju]
-    if count is not None and 0 < count < w.size:
-        cut = np.partition(-w, count - 1)[count - 1]
-        keep = np.flatnonzero(~(-w > cut))  # NaN compares False either way
+    if count is not None:
+        keep = np.flatnonzero(_top_pairs(w[None], count)[0])
         iu, ju, w = iu[keep], ju[keep], w[keep]
-    order = np.argsort(-w, kind="stable")[:count]
+    order = np.argsort(-w, kind="stable")
     return iu[order], ju[order], w[order]
 
 
@@ -121,7 +145,7 @@ def apply_fixed_threshold(
     connecting weight of None.
     """
     n = cm.n
-    vals = _policy_values(cm, negatives)
+    vals = _policy_values(cm.values, negatives)
     iu, ju = np.triu_indices(n, 1)
 
     if criterion == "value":
@@ -182,22 +206,64 @@ def apply_fixed_threshold(
     return Network(n, np.column_stack((iu[mask], ju[mask])), meta=meta)
 
 
+def _degree_count(n, k_target):
+    """Edge count of mean degree k_target on n nodes, round(n * k_target / 2)."""
+    E = _round_half_up(n * k_target / 2.0)
+    max_edges = n * (n - 1) // 2
+    if E > max_edges:
+        raise ValueError(f"target edge count {E} exceeds possible {max_edges}")
+    return E
+
+
+def _density_count(n, density=None, path_exponent=None):
+    """Edge count of a fixed-density rule on n nodes, and the mean degree a
+    path exponent implies (None for a density)."""
+    if (density is None) == (path_exponent is None):
+        raise ValueError("give exactly one of density or path_exponent")
+    if density is not None:
+        if not 0 < density <= 1:
+            raise ValueError("density must be in (0, 1]")
+        return _round_half_up(density * n * (n - 1) / 2.0), None
+    S = float(path_exponent)
+    if S <= 1:
+        raise ValueError("path_exponent must be > 1")
+    k = n ** (1.0 / S)
+    if k >= n:
+        raise ValueError(f"implied mean degree {k:.3g} not below n={n}")
+    return _degree_count(n, k), k
+
+
+TOP_EDGE_METHODS = ("fixed_degree", "fixed_density")
+
+
+def top_edge_masks(values, spec):
+    """The i<j pairs (in np.triu_indices order) that a fixed_degree or
+    fixed_density spec keeps in each slice of a (b, n, n) stack of values:
+    a (b, n(n-1)/2) mask from one partition per slice (`_top_pairs`)."""
+    params = {k: v for k, v in spec.items() if k != "method"}
+    negatives = params.pop("negatives", "drop")
+    n = values.shape[-1]
+    if spec["method"] == "fixed_degree":
+        count = _degree_count(n, **params)
+    else:
+        count = _density_count(n, **params)[0]
+    iu, ju = np.triu_indices(n, 1)
+    return _top_pairs(_policy_values(values[:, iu, ju], negatives), count)
+
+
+def _top_network(cm, count, negatives, meta):
+    iu, ju = np.triu_indices(cm.n, 1)
+    keep = _top_pairs(_policy_values(cm.values[iu, ju], negatives)[None], count)[0]
+    return Network(cm.n, np.column_stack((iu[keep], ju[keep])), meta={"threshold": meta})
+
+
 def apply_fixed_degree(cm, k_target, negatives="drop"):
     """Keep exactly round(n * k_target / 2) top-ranked entries.
 
     k_target is the desired mean degree and may be fractional.
     """
-    n = cm.n
-    E = _round_half_up(n * k_target / 2.0)
-    max_edges = n * (n - 1) // 2
-    if E > max_edges:
-        raise ValueError(f"target edge count {E} exceeds possible {max_edges}")
-    ii, jj, _ = _ranked_pairs(_policy_values(cm, negatives), n, E)
-    return Network(
-        n,
-        np.column_stack((ii, jj)),
-        meta={"threshold": {"criterion": "fixed_degree", "k_target": k_target, "negatives": negatives}},
-    )
+    meta = {"criterion": "fixed_degree", "k_target": k_target, "negatives": negatives}
+    return _top_network(cm, _degree_count(cm.n, k_target), negatives, meta)
 
 
 def apply_fixed_density(cm, density=None, path_exponent=None, negatives="drop"):
@@ -206,35 +272,17 @@ def apply_fixed_density(cm, density=None, path_exponent=None, negatives="drop"):
     With path_exponent S, the implied mean degree is k = n**(1/S) (from
     n = k**S) and the fixed-degree rule applies.
     """
-    n = cm.n
-    if (density is None) == (path_exponent is None):
-        raise ValueError("give exactly one of density or path_exponent")
-    if density is not None:
-        if not 0 < density <= 1:
-            raise ValueError("density must be in (0, 1]")
-        E = _round_half_up(density * n * (n - 1) / 2.0)
-        ii, jj, _ = _ranked_pairs(_policy_values(cm, negatives), n, E)
-        return Network(
-            n,
-            np.column_stack((ii, jj)),
-            meta={"threshold": {"criterion": "fixed_density", "density": density, "negatives": negatives}},
-        )
-    S = float(path_exponent)
-    if S <= 1:
-        raise ValueError("path_exponent must be > 1")
-    k = n ** (1.0 / S)
-    if k >= n:
-        raise ValueError(f"implied mean degree {k:.3g} not below n={n}")
-    net = apply_fixed_degree(cm, k, negatives=negatives)
-    net.meta = {
-        "threshold": {
+    count, k = _density_count(cm.n, density, path_exponent)
+    if k is None:
+        meta = {"criterion": "fixed_density", "density": density, "negatives": negatives}
+    else:
+        meta = {
             "criterion": "fixed_density",
-            "path_exponent": S,
+            "path_exponent": float(path_exponent),
             "implied_k": k,
             "negatives": negatives,
         }
-    }
-    return net
+    return _top_network(cm, count, negatives, meta)
 
 
 def weighted_network(cm, policy="keep_positive", tau=None):

@@ -187,6 +187,20 @@ def test_malformed_network_exits_1(tmp_path, capsys, header, argv, needle):
     assert needle in report["message"]
 
 
+@pytest.mark.parametrize("swaps", ["0", "-3"])
+def test_smallworld_rejects_fewer_than_one_swap_per_edge(tmp_path, capsys, swaps):
+    # below one swap per edge every null would be the input graph itself
+    path = tmp_path / "ring.tsv"
+    cycle_graph(12).save(path)
+    code, out, err = run_cli(
+        capsys, "smallworld", "--in", path, "--null-count", "2", "--swaps-per-edge", swaps
+    )
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "ValueError"
+    assert report["message"] == f"swaps_per_edge must be >= 1, got {swaps}"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["threshold"])
@@ -405,6 +419,11 @@ def twopart_omega(kind="exponential", **omega):
             "subject must be a subject index",
         ),
         ({"type": "bootstrap", "params": {"level": 2, "metric": "density"}}, 2, "level must be < 1"),
+        (
+            {"type": "bootstrap", "params": {"block_length": 1, "metric": "density"}},
+            2,
+            "block_length must be >= 2, got 1",
+        ),
         ({"type": "twopart", "params": {"gamma": "x"}}, 2, "unknown parameter 'gamma'"),
         ({"type": "twopart", "params": {"covariates": [1, 2]}}, 2, "covariates must be an object"),
         ({"seed": 1.7}, 2, "seed must be an integer"),
@@ -449,6 +468,7 @@ def twopart_omega(kind="exponential", **omega):
         "permutations", "t_threshold", "null_count", "omega_phi",
         "null_count_zero", "null_count_negative", "null_count_typo", "swaps_per_edge_float",
         "cartography_string", "group_a_bool", "bootstrap_subject_bool", "level_above_1",
+        "block_length_one",
         "twopart_gamma", "twopart_covariates_list", "seed_float", "seed_string",
         "workers_list", "out_dir_int", "partial_correlation_unknown", "shrinkage_string",
         "coherence_band_string", "synchronization_lag_string", "correlation_unknown",

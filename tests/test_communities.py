@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import erdos_renyi, two_triangles
+from fcnets import communities
 from fcnets.communities import (
     Partition,
     cartography,
@@ -13,7 +14,7 @@ from fcnets.communities import (
     modularity,
     normalized_mutual_information,
 )
-from fcnets.networks import BinaryNetwork, WeightedNetwork
+from fcnets.networks import BinaryNetwork, Network, WeightedNetwork
 
 
 def barbell():
@@ -197,3 +198,81 @@ def test_louvain_runs_agreement():
     assert nmi.shape == (3, 3)
     assert np.allclose(nmi, 1.0)
     assert parts[0].q == pytest.approx(6 / 7 - 0.5)
+
+
+def _reference_louvain_level(nbrs, n, m, rng):
+    """The sweep as it was on numpy arrays and scalars: the reference the
+    list-based `_louvain_level` must reproduce bit for bit."""
+    comm = np.arange(n)
+    strength = np.array([sum(d.values()) for d in nbrs])
+    comm_total = strength.astype(float).copy()
+    improved_any = False
+    while True:
+        moved = 0
+        for i in rng.permutation(n):
+            ci = comm[i]
+            ki = strength[i]
+            to_comm = {}
+            for j, w in nbrs[i].items():
+                if j == i:
+                    continue
+                to_comm[comm[j]] = to_comm.get(comm[j], 0.0) + w
+            comm_total[ci] -= ki
+            base = to_comm.get(ci, 0.0) - ki * comm_total[ci] / (2 * m)
+            best_c, best_gain = ci, 0.0
+            for c, w_ic in to_comm.items():
+                if c == ci:
+                    continue
+                gain = (w_ic - ki * comm_total[c] / (2 * m)) - base
+                if gain > best_gain + 1e-12:
+                    best_gain = gain
+                    best_c = c
+            comm[i] = best_c
+            comm_total[best_c] += ki
+            if best_c != ci:
+                moved += 1
+        if moved == 0:
+            break
+        improved_any = True
+    return comm, improved_any
+
+
+def planted_graph(seed):
+    """Planted modules on 20-90 nodes; odd seeds carry weights in [0.1, 2)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(20, 91))
+    labels = rng.integers(0, int(rng.integers(2, 7)), n)
+    iu, ju = np.triu_indices(n, 1)
+    p = np.where(labels[iu] == labels[ju], rng.uniform(0.2, 0.6), rng.uniform(0.01, 0.08))
+    keep = rng.random(iu.size) < p
+    pairs = np.column_stack((iu[keep], ju[keep]))
+    weights = rng.uniform(0.1, 2.0, keep.sum()) if seed % 2 else None
+    return Network(n, pairs, weights)
+
+
+def test_louvain_on_lists_matches_the_array_sweep(monkeypatch):
+    nx = pytest.importorskip("networkx")
+    levels = []
+    level = communities._louvain_level
+
+    def counted(*args):
+        comm, improved = level(*args)
+        levels[-1] += improved
+        return comm, improved
+
+    monkeypatch.setattr(communities, "_louvain_level", counted)
+    for seed in range(60):
+        g = planted_graph(seed)
+        levels.append(0)
+        got = louvain(g, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(communities, "_louvain_level", _reference_louvain_level)
+            want = louvain(g, seed=seed)
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+        assert got.q.hex() == want.q.hex()
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_weighted_edges_from((i, j, w) for (i, j), w in zip(g.pairs.tolist(), g.edge_weights()))
+        nx_q = nx.algorithms.community.modularity(G, [set(c.tolist()) for c in got.communities()])
+        assert abs(got.q - nx_q) <= 1e-12
+    assert sum(k >= 2 for k in levels) >= 10  # graphs that aggregate more than one level

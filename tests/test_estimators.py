@@ -6,7 +6,9 @@ from scipy.spatial.distance import cdist
 from fcnets.estimators import (
     ConnectionMatrix,
     DelayEmbedding,
+    _correlations,
     _neighbor_indices,
+    _symmetrise,
     coherence_matrix,
     correlation_matrix,
     estimate,
@@ -35,6 +37,48 @@ def test_correlation_matches_numpy(rng):
     np.fill_diagonal(expect, 0.0)
     assert np.allclose(cm.values, expect, atol=1e-12)
     assert cm.measure == "correlation"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("T", [4, 300])
+@pytest.mark.parametrize("n", [2, 3, 90])
+@pytest.mark.parametrize("b", [1, 7, 8, 9])
+def test_stacked_correlation_is_corrcoef_per_slice(b, n, T):
+    # every slice bit for bit: the stacked product must round as np.corrcoef's
+    # np.dot does on this BLAS, and the symmetrised stack as ConnectionMatrix did
+    rng = np.random.default_rng(100 * b + n + T)
+    stack = rng.standard_normal((b, n, T))
+    stack[::2] = np.round(stack[::2] * 8)  # integer-valued slices tie
+    r, zero = _correlations(stack.copy())
+    want = np.stack([np.corrcoef(s) for s in stack])
+    np.testing.assert_array_equal(_bits(r), _bits(want))
+    assert not zero.any()
+    assert _symmetrise(r).all()
+    for got, c in zip(r, want):
+        c = (c + c.T) / 2.0
+        np.fill_diagonal(c, 0.0)
+        np.testing.assert_array_equal(_bits(got), _bits(c))
+    np.testing.assert_array_equal(_bits(correlation_matrix(stack[0]).values), _bits(r[0]))
+
+
+def test_stacked_correlation_marks_zero_variance_nodes(rng):
+    stack = rng.standard_normal((3, 4, 30))
+    stack[0, 2] = 2.5  # constant
+    stack[2, [0, 3]] = -4.0
+    _, zero = _correlations(stack.copy())
+    np.testing.assert_array_equal(zero, stack.std(axis=2) == 0)
+    np.testing.assert_array_equal(np.flatnonzero(zero.any(axis=1)), [0, 2])
+
+
+def test_symmetrise_flags_asymmetric_slices():
+    values = np.zeros((3, 3, 3))
+    values[1, 0, 1] = 1e-3
+    values[2, 1, 2] = np.nan
+    np.testing.assert_array_equal(_symmetrise(values), [True, False, False])
+    assert values[1, 0, 1] == values[1, 1, 0] == 5e-4
 
 
 def test_correlation_rejects_constant_node(rng):

@@ -47,6 +47,12 @@ def test_rewire_needs_two_edges():
         rewire_preserving_degree(BinaryNetwork(3, [(0, 1)]))
 
 
+@pytest.mark.parametrize("swaps_per_edge", [0, -3, 0.5])
+def test_rewire_needs_at_least_one_swap_per_edge(rng, swaps_per_edge):
+    with pytest.raises(ValueError, match="swaps_per_edge must be >= 1"):
+        rewire_preserving_degree(watts_strogatz(20, 4, 0.1, rng), swaps_per_edge=swaps_per_edge)
+
+
 def test_rewire_stalls_on_star():
     # every swap on a star makes a self-loop or duplicate, so it must give up
     g = star_graph(4)

@@ -215,6 +215,22 @@ def test_blocked_efficiencies_match_one_block(monkeypatch):
     assert_efficiencies(g, G)
 
 
+def test_block_global_efficiencies_match_each_graph(monkeypatch):
+    # graphs of 70 nodes as the diagonal blocks of one network: each block
+    # gets its graph's own value and unreachable count, in one block of
+    # sources and in blocks of 64 and 6 sources
+    size = 70
+    graphs = [nx.path_graph(size), nx.complete_graph(size), nx.empty_graph(size)]
+    graphs += [nx.gnp_random_graph(size, p, seed=k) for k, p in enumerate((0.01, 0.03, 0.1))]
+    nets = [as_network(G)[0] for G in graphs]
+    want = [(r.value, r.unreachable_pair_count) for r in map(global_efficiency, nets)]
+    blocks = Network(size * len(nets), np.vstack([g.pairs + k * size for k, g in enumerate(nets)]))
+    assert metrics.block_global_efficiencies(blocks, size) == want
+    monkeypatch.setattr(metrics, "_BITSET_BLOCK", 2 * blocks.edge_count)
+    assert metrics.block_global_efficiencies(blocks, size) == want
+    assert metrics.block_global_efficiencies(Network(0, []), size) == []
+
+
 def test_unweighted_efficiencies_never_run_dijkstra(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("unweighted efficiencies reached Dijkstra")

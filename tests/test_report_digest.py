@@ -1,8 +1,12 @@
 """scripts/report_digest.py on the bundled config: one digest per config on
-stdout, one SHA-256 per report file on stderr, the same on every run."""
+stdout, one SHA-256 per report file on stderr, the same on every run. The
+configs that scripts/alltypes_config.py and scripts/standing_configs.py
+write validate and regenerate byte for byte."""
 
 import hashlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +75,29 @@ def test_alltypes_config_validates_covers_every_analysis_and_regenerates_identic
     assert sorted(metrics) == sorted(METRIC_NAMES)
     community = next(p for kind, _, p in config.analyses if kind == "community")
     assert community["cartography"]
+
+
+STANDING = ROOT / "scripts" / "standing_configs.py"
+
+
+def test_standing_configs_regenerate_identically_and_validate(tmp_path):
+    from fcnets.pipeline import load_config
+
+    runs = []
+    for name in ("a", "b"):
+        proc = subprocess.run(
+            [sys.executable, str(STANDING), str(tmp_path / name)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split())
+    first, second = runs
+    assert first[0] == second[0] and Path(first[0]).resolve() == Path(CONFIG) and len(first) == 5
+    for a, b in zip(first[1:], second[1:]):
+        assert Path(a).parent.name == Path(b).parent.name
+        files = sorted(p.name for p in Path(a).parent.iterdir())
+        assert files == sorted(p.name for p in Path(b).parent.iterdir())
+        for f in files:
+            assert (Path(a).parent / f).read_bytes() == (Path(b).parent / f).read_bytes()
+    assert [Path(p).parent.name for p in first[1:]] == ["cohort1", "cohort2", "cohort3", "alltypes"]
+    for path in first:
+        load_config(path, out_dir=str(tmp_path / "out"))  # raises ConfigError on a problem

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fcnets import estimators, thresholding
+from fcnets import estimators, resampling, thresholding
 from fcnets.metrics import metric_value
 from fcnets.resampling import block_bootstrap, metric_error
 
@@ -154,3 +154,77 @@ def test_metric_error_replicate_floor(rng):
     x = ar_panel(rng, nodes=3, t=25)
     with pytest.raises(ValueError, match="at least 10"):
         metric_error(x, "density", replicates=9)
+
+
+@pytest.mark.parametrize("level", [1.5, 1.0, 0.0, -0.2, float("nan")])
+def test_metric_error_rejects_a_level_outside_0_1_before_any_replicate(rng, monkeypatch, level):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(resampling, "block_bootstrap", refuse)
+    monkeypatch.setattr(estimators, "estimate", refuse)
+    with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+        metric_error(ar_panel(rng, nodes=4, t=40), "density", replicates=10, level=level)
+
+
+def reference_metric_error(x, spec, replicates, block_length, seed):
+    """(point, replicates, failed): one replicate at a time through the public
+    estimate -> apply_spec -> metric_value chain."""
+
+    def pipeline(data):
+        g = thresholding.apply_spec(estimators.estimate(data, "correlation"), spec)
+        return metric_value(g, "global_efficiency")
+
+    values, failed = [], 0
+    for _, resampled in block_bootstrap(x, block_length, replicates, seed):
+        try:
+            values.append(pipeline(resampled))
+        except (ValueError, RuntimeError):
+            failed += 1
+    return pipeline(x), np.array(values), failed
+
+
+def spiky_panel(rng, nodes=12, t=60):
+    # node 0 is 0 except at one sample, so every resample whose blocks miss
+    # that sample gives it zero variance and fails
+    x = ar_panel(rng, nodes, t)
+    x[0] = 0.0
+    x[0, 5] = 1.0
+    return x
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"method": "fixed_degree", "k_target": 4},
+        {"method": "fixed_density", "density": 0.3, "negatives": "absolute"},
+    ],
+    ids=["fixed_degree", "fixed_density"],
+)
+@pytest.mark.parametrize(
+    "panel, replicates",
+    [("ar", 10), ("ar", 13), ("ar", 200), ("integers", 13), ("integers", 200), ("spiky", 200)],
+)
+def test_stacked_metric_error_equals_the_replicate_loop(monkeypatch, spec, panel, replicates):
+    rng = np.random.default_rng(replicates)
+    if panel == "integers":  # few distinct values: correlations tie at the cut
+        x = rng.integers(0, 3, (16, 40)).astype(float)
+        x[1] = x[2]
+    elif panel == "spiky":
+        x = spiky_panel(rng)
+    else:
+        x = ar_panel(rng, nodes=20, t=90)
+    block_length = 5
+    point, values, failed = reference_metric_error(x, spec, replicates, block_length, seed=3)
+    calls = []
+    estimate = estimators.estimate
+    monkeypatch.setattr(estimators, "estimate", lambda *a: calls.append(1) or estimate(*a))
+    out = metric_error(
+        x, "global_efficiency", threshold_spec=spec, replicates=replicates,
+        block_length=block_length, seed=3, max_failure_fraction=1.0,
+    )
+    assert len(calls) == 1  # the point alone: the replicates ran stacked
+    assert out.point == point and out.failed == failed
+    assert out.replicates.tobytes() == values.tobytes()
+    if panel == "spiky":
+        assert 0 < failed < replicates

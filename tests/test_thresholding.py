@@ -12,6 +12,7 @@ from fcnets.thresholding import (
     apply_fixed_density,
     apply_fixed_threshold,
     apply_spec,
+    top_edge_masks,
     weighted_network,
 )
 
@@ -223,6 +224,34 @@ def test_fixed_degree_and_density_keep_the_lexsort_prefix(negatives):
             if E:
                 net = apply_fixed_density(cm_from(vals), density=E / size, negatives=negatives)
                 assert net.edges == sorted(zip(ii[:E].tolist(), jj[:E].tolist()))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"method": "fixed_degree", "k_target": 3},
+        {"method": "fixed_degree", "k_target": 4.5, "negatives": "absolute"},
+        {"method": "fixed_density", "density": 0.2},
+        {"method": "fixed_density", "path_exponent": 2.0, "negatives": "absolute"},
+    ],
+)
+def test_top_edge_masks_match_each_slice(spec):
+    rng = np.random.default_rng(5)
+    n = 12
+    stack = np.stack([sym(n, rng) for _ in range(9)])
+    stack[1:4] = np.round(stack[1:4], 1)  # ties at the cut
+    stack[4] = 0.0
+    stack[5, 0, 1:] = stack[5, 1:, 0] = np.nan
+    stack[6][np.triu(rng.random((n, n)) < 0.8, 1)] = np.nan  # a NaN cut
+    masks = top_edge_masks(stack, spec)
+    count = apply_spec(cm_from(stack[0]), spec).edge_count
+    iu, ju = np.triu_indices(n, 1)
+    for vals, mask in zip(stack, masks):
+        ranked = np.abs(vals) if spec.get("negatives") == "absolute" else vals
+        ii, jj, _ = _lexsort_ranking(ranked, n)
+        want = sorted(zip(ii[:count].tolist(), jj[:count].tolist()))
+        assert list(zip(iu[mask].tolist(), ju[mask].tolist())) == want
+    assert masks.sum(axis=1).tolist() == [count] * len(stack)
 
 
 def test_fixed_degree_overflow():
