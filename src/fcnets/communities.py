@@ -152,8 +152,6 @@ def louvain(g, seed=0):
                 else:
                     nbrs2[ci][cj] = nbrs2[ci].get(cj, 0.0) + w
         nbrs = nbrs2
-        if nc == n_cur:
-            break
     part = Partition(node_map)
     part.q = modularity(g, part.assignment)
     return part

@@ -98,11 +98,12 @@ def _correlations(stack):
 def _symmetrise(values):
     """Average each (n, n) slice of a (b, n, n) stack with its transpose and
     zero its diagonal, in place. Returns the (b,) mask of slices that were
-    symmetric to within np.allclose(atol=1e-12) beforehand. A slice at a
+    symmetric to within 1e-12 absolute beforehand (np.allclose with
+    rtol=0, so the tolerance does not grow with the values). A slice at a
     time, the temporaries stay the size of one matrix."""
     ok = np.empty(len(values), dtype=bool)
     for k, v in enumerate(values):
-        ok[k] = np.allclose(v, v.T, atol=1e-12)
+        ok[k] = np.allclose(v, v.T, rtol=0, atol=1e-12)
         np.divide(v + v.T, 2.0, out=v)
         np.fill_diagonal(v, 0.0)
     return ok
@@ -145,9 +146,10 @@ def partial_correlation_matrix(series, shrinkage=0.0):
             "increase shrinkage above 0 (common when T <= n)"
         ) from None
     d = np.sqrt(np.diag(Q))
-    p = -Q / np.outer(d, d)
-    p = np.clip(p, -1.0, 1.0)
-    np.fill_diagonal(p, 0.0)
+    p = np.clip(-Q / np.outer(d, d), -1.0, 1.0)
+    # inv() is symmetric only up to rounding that grows with the condition
+    # number (about 6e-12 at 5e5), more than ConnectionMatrix accepts
+    _symmetrise(p[None])
     return ConnectionMatrix(p, "partial_correlation", {"shrinkage": shrinkage})
 
 

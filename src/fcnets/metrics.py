@@ -561,11 +561,8 @@ def centrality(g, kind):
         x = np.full(comp.size, 1.0 / np.sqrt(comp.size))
         for _ in range(100000):
             # shift by I so bipartite components cannot oscillate
-            y = A @ x + x
-            norm = np.linalg.norm(y)
-            if norm == 0:
-                break
-            y /= norm
+            y = A @ x + x  # stays > 0, as x > 0 and A >= 0, so its norm is never 0
+            y /= np.linalg.norm(y)
             if np.max(np.abs(y - x)) < 1e-10:
                 x = y
                 break

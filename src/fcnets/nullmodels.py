@@ -355,11 +355,8 @@ def powerlaw_fit(degrees, bootstrap_reps=200, seed=0, min_tail=50):
         n_tail = int(take_tail.sum())
         synth = np.empty(n, dtype=int)
         synth[:n_tail] = _draw(table, n_tail, rng)
-        if n - n_tail > 0:
-            if below.size:
-                synth[n_tail:] = rng.choice(below, size=n - n_tail, replace=True)
-            else:
-                synth[n_tail:] = _draw(table, n - n_tail, rng)
+        if n - n_tail > 0:  # only if some value lies below x_min, else p_tail is 1
+            synth[n_tail:] = rng.choice(below, size=n - n_tail, replace=True)
         try:
             _, _, D_b, _, _ = _fit_tail(synth, min_tail, log_zeta)
         except ValueError:

@@ -478,7 +478,13 @@ _ANALYSIS_FUNCTIONS = {
 
 
 def run_pipeline(config):
-    """Execute a validated config; returns {analysis label: report path}."""
+    """Execute a validated config; returns {analysis label: report path}.
+
+    Once every subject's connection matrix and network exist, the panel
+    keeps only the series of the subjects a bootstrap analysis resamples;
+    the other entries of panel.subjects become None, so the group analyses
+    run without the estimation input in memory.
+    """
     os.makedirs(config.out_dir, exist_ok=True)
     panel = load_manifest(config.manifest)
     if config.bandpass is not None:
@@ -492,6 +498,8 @@ def run_pipeline(config):
         workers=config.workers,
     )
     networks = [apply_spec(cm, config.threshold) for cm in matrices]
+    resampled = {params["subject"] for kind, _, params in config.analyses if kind == "bootstrap"}
+    panel.subjects = [x if s in resampled else None for s, x in enumerate(panel.subjects)]
 
     written, counts, stage_seeds = {}, {}, {}
     for kind, given, params in config.analyses:

@@ -35,6 +35,22 @@ from .runtime import rng_for
 _CHUNK = 8  # replicates per stacked pass: the stack holds 8 * n * T floats
 
 
+def _checked_block_length(x, block_length):
+    """block_length as an int, ceil(sqrt(T)) when None; raises unless x is a
+    2-d node x time array and 2 <= block_length <= T."""
+    if x.ndim != 2:
+        raise ValueError("series must be a 2-d node x time array")
+    t = x.shape[1]
+    if block_length is None:
+        block_length = int(math.ceil(math.sqrt(t)))
+    block_length = int(block_length)
+    if block_length < 2:
+        raise ValueError(f"block_length must be >= 2, got {block_length}")
+    if block_length > t:
+        raise ValueError(f"block_length {block_length} exceeds series length {t}")
+    return block_length
+
+
 def block_bootstrap(series, block_length=None, replicates=1, seed=0):
     """Circular block bootstrap replicates of a node x time array.
 
@@ -44,16 +60,8 @@ def block_bootstrap(series, block_length=None, replicates=1, seed=0):
     whole record. Yields (replicate_index, resampled_series).
     """
     x = np.asarray(series, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("series must be a 2-d node x time array")
+    block_length = _checked_block_length(x, block_length)
     n, t = x.shape
-    if block_length is None:
-        block_length = int(math.ceil(math.sqrt(t)))
-    block_length = int(block_length)
-    if block_length < 2:
-        raise ValueError(f"block_length must be >= 2, got {block_length}")
-    if block_length > t:
-        raise ValueError(f"block_length {block_length} exceeds series length {t}")
     n_blocks = int(math.ceil(t / block_length))
     offsets = np.arange(block_length)
     for b in range(replicates):
@@ -119,7 +127,7 @@ def metric_error(
     if not 0 < level < 1:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
     x = np.asarray(series, dtype=float)
-
+    block_length = _checked_block_length(x, block_length)
     spec = threshold_spec or {"method": "fixed_threshold", "criterion": "value", "tau": 0.0}
 
     def pipeline(data):
@@ -128,8 +136,6 @@ def metric_error(
         return metric_value(g, metric)
 
     point = pipeline(x)
-    if block_length is None:
-        block_length = int(math.ceil(math.sqrt(x.shape[1])))
     draws = block_bootstrap(x, block_length=block_length, replicates=replicates, seed=seed)
     stacked = (
         estimator == "correlation"

@@ -88,5 +88,8 @@ def to_json(obj):
 
 
 def write_json(path, obj):
+    """Write to_json(obj)'s bytes to path, encoded straight into the file
+    instead of first building the whole text."""
     with open(path, "w") as fh:
-        fh.write(to_json(obj))
+        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
+        fh.write("\n")

@@ -974,7 +974,10 @@ def twopart_fit(
     gradient. One rule makes a standard error NaN: its difference stencil
     meets a bound (or a point where the likelihood fails). The other
     standard errors are then taken with those coordinates held fixed.
+    maxfev must be >= 1.
     """
+    if not maxfev >= 1:
+        raise ValueError(f"maxfev must be >= 1, got {maxfev!r}")
     presence = _fit_presence(data, presence_formula, quad_points, maxfev)
     strength = _fit_strength(data, strength_formula, omega, gamma, maxfev)
     return TwoPartFit(

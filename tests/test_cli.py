@@ -1,10 +1,12 @@
 """End-to-end command-line checks against the bundled sample data."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -304,6 +306,15 @@ def test_twopart_subcommand(capsys):
     assert report["omega_kind"] == "identity"
     assert len(report["strength_beta"]) == 1
     assert np.isfinite(report["strength_loglik"])
+
+
+def test_twopart_rejects_fewer_than_one_evaluation(capsys):
+    # the pipeline's maxfev bound is 1; below it the CLI reported the start values
+    mats = [DATA / f"group_a_{i}.csv" for i in range(3)]
+    code, out, err = run_cli(capsys, "twopart", "--matrices", *mats, "--maxfev", "0")
+    assert code == 1 and out == ""
+    report = json.loads(err)
+    assert report == {"error": "ValueError", "message": "maxfev must be >= 1, got 0"}
 
 
 def test_bootstrap_subcommand(capsys):
@@ -757,3 +768,33 @@ def test_pipeline_second_analysis_of_a_kind_gets_its_own_table(tmp_path, capsys)
         assert [float(row.split(",")[4]) for row in rows[1:]] == pytest.approx(q, rel=1e-11)
         assert json.loads((out / f"compare{label}.json").read_text())["params"]["correction"] == correction
     assert (out / "edgewise.csv").read_text() != (out / "edgewise_2.csv").read_text()
+
+
+def test_pipeline_releases_the_series_no_bootstrap_reads(tmp_path, monkeypatch):
+    # after estimation only the bootstrap subject's series is still referenced
+    from fcnets import pipeline
+
+    load, compare = pipeline.load_manifest, pipeline._ANALYSIS_FUNCTIONS["compare"]
+    series, alive = [], []
+
+    def load_and_watch(path):
+        panel = load(path)
+        series.extend(weakref.ref(x) for x in panel.subjects)
+        return panel
+
+    def compare_and_watch(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in series])
+        return compare(*args)
+
+    monkeypatch.setattr(pipeline, "load_manifest", load_and_watch)
+    monkeypatch.setitem(pipeline._ANALYSIS_FUNCTIONS, "compare", compare_and_watch)
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["analyses"] = [
+        {"type": "compare", "params": {"method": "edgewise", "group_a": [0, 1, 2], "group_b": [3, 4, 5]}},
+        {"type": "bootstrap", "params": {"subject": 4, "metric": "density", "replicates": 10}},
+    ]
+    config = validate_config(cfg, str(DATA), out_dir=str(tmp_path / "out"))
+    written = pipeline.run_pipeline(config)
+    assert alive == [[False, False, False, False, True, False]]
+    assert json.loads(open(written["bootstrap"]).read())["result"]["requested"] == 10

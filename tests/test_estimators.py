@@ -104,6 +104,19 @@ def test_partial_correlation_shrinkage_keeps_symmetry(rng):
     assert np.all(np.diag(cm.values) == 0)
 
 
+def test_partial_correlation_of_an_ill_conditioned_covariance(rng):
+    # 30 nodes sharing one strong signal: inv() leaves an asymmetry above
+    # ConnectionMatrix's 1e-12, which the estimator averages away itself
+    x = 0.01 * rng.standard_normal((30, 300)) + rng.standard_normal(300)
+    Q = np.linalg.inv(np.cov(x))
+    d = np.sqrt(np.diag(Q))
+    p = np.clip(-Q / np.outer(d, d), -1.0, 1.0)
+    assert np.max(np.abs(p - p.T)) > 1e-12
+    want = (p + p.T) / 2.0
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(partial_correlation_matrix(x).values, want)
+
+
 def test_partial_correlation_singular_advises_shrinkage(rng):
     x = rng.standard_normal((10, 8))  # more nodes than samples
     with pytest.raises(ValueError, match="shrinkage"):
@@ -237,6 +250,16 @@ def test_connection_matrix_validation():
     cm = ConnectionMatrix(np.array([[0.1, 0.5], [0.5, 0.2]]), "correlation", {})
     assert np.all(np.diag(cm.values) == 0)
     assert cm.values[0, 1] == 0.5
+
+
+def test_connection_matrix_symmetry_tolerance_is_absolute():
+    # np.allclose's default rtol=1e-5 would accept this and average it
+    with pytest.raises(ValueError, match="symmetric"):
+        ConnectionMatrix(np.array([[0.0, 0.5], [0.500004, 0.0]]), "correlation", {})
+    with pytest.raises(ValueError, match="symmetric"):
+        ConnectionMatrix(np.array([[0.0, 1e6], [1e6 + 1e-3, 0.0]]), "unknown", {})
+    cm = ConnectionMatrix(np.array([[0.0, 0.5], [0.5 + 1e-13, 0.0]]), "correlation", {})
+    assert cm.values[0, 1] == cm.values[1, 0] == (0.5 + (0.5 + 1e-13)) / 2
 
 
 def test_estimate_dispatch(rng):

@@ -369,9 +369,10 @@ def test_t_in_a_reused_workspace_is_bitwise_the_plain_formula(total):
     spread = 10.0 ** rng.uniform(-9, 0, edges)  # per-edge scale, 1e-9 to 1
     X = rng.standard_normal((total, edges)) * spread + rng.uniform(-1, 1, edges)
     X -= X.mean(axis=0)
-    work = np.full((5, _PERMUTATION_CHUNK, edges), np.nan)
+    chunk = _PERMUTATION_CHUNK
+    work = np.full((4, chunk, edges), np.nan)
     # a full block first, so the shorter blocks run on a workspace holding stale rows
-    for rows in (64, 63, 1, 64, 1):
+    for rows in (chunk, chunk - 1, 1, chunk, 1):
         labels = _label_block(rng, rows, total, int(rng.integers(2, total - 1)))
         got = _t_for_labels(X, X**2, labels, work)
         want = _plain_t(X, labels)
@@ -387,8 +388,9 @@ def test_edgewise_t_is_bitwise_the_plain_formula():
 
 
 def test_nbs_peak_memory_stays_within_eight_chunk_arrays():
-    # 40 subjects at n = 90: one chunk of t statistics is 64 x 4,005 float64;
-    # fresh temporaries per chunk peaked at about 12.7 such arrays
+    # 40 subjects at n = 90: one chunk of t statistics is 32 x 4,005 float64
+    # (1.03 MB), and the t workspace holds four of them; the peak is about
+    # 6.9 such arrays (7.0 MB)
     rng = np.random.default_rng(15)
     n = 90
     mats = [cm_from_z(0.3 * rng.standard_normal(n * (n - 1) // 2), n) for _ in range(40)]

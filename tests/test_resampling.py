@@ -167,6 +167,21 @@ def test_metric_error_rejects_a_level_outside_0_1_before_any_replicate(rng, monk
         metric_error(ar_panel(rng, nodes=4, t=40), "density", replicates=10, level=level)
 
 
+@pytest.mark.parametrize(
+    "block_length, message",
+    [(1, "block_length must be >= 2, got 1"), (41, "block_length 41 exceeds series length 40")],
+)
+def test_metric_error_checks_the_block_length_before_the_point_estimate(
+    rng, monkeypatch, block_length, message
+):
+    calls = []
+    estimate = estimators.estimate
+    monkeypatch.setattr(estimators, "estimate", lambda *a, **k: calls.append(a) or estimate(*a, **k))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        metric_error(ar_panel(rng, nodes=4, t=40), "density", replicates=10, block_length=block_length)
+    assert calls == []
+
+
 def reference_metric_error(x, spec, replicates, block_length, seed):
     """(point, replicates, failed): one replicate at a time through the public
     estimate -> apply_spec -> metric_value chain."""

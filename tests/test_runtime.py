@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fcnets import runtime
-from fcnets.runtime import derive_seed, parallel_map, rng_for, to_json
+from fcnets.runtime import derive_seed, parallel_map, rng_for, to_json, write_json
 
 
 def test_derive_seed_is_stable():
@@ -74,6 +75,22 @@ def test_to_json_writes_booleans():
     text = to_json({"flags": [True, np.bool_(False)], "n": np.int64(1)})
     assert json.loads(text) == {"flags": [True, False], "n": 1}
     assert '"flags": [\n    true,\n    false\n  ]' in text
+
+
+def test_write_json_writes_the_text_of_to_json(tmp_path):
+    @dataclasses.dataclass
+    class Report:
+        values: np.ndarray
+        flags: tuple
+        meta: dict
+
+    obj = {
+        "z": Report(np.array([[0.1, 2.0], [np.nan, -0.0]]), (True, np.bool_(False)), {3: "é"}),
+        "a": [np.int64(7), np.float64(1e-300), float("inf"), None, []],
+    }
+    path = tmp_path / "report.json"
+    write_json(path, obj)
+    assert path.read_text() == to_json(obj)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.text(max_size=20))

@@ -467,6 +467,17 @@ def test_constant_presence_raises():
         twopart_fit(build_dyad_dataset(mats))
 
 
+@pytest.mark.parametrize("maxfev", [0, -5])
+def test_twopart_fit_needs_at_least_one_evaluation(maxfev, monkeypatch):
+    # below one evaluation no optimizer runs and the fit would be the start values
+    calls = []
+    monkeypatch.setattr(twopart, "_fit_presence", lambda *args: calls.append(args))
+    data = build_dyad_dataset([cm_from_dyads([0.5, -0.1, 0.3], 3) for _ in range(3)])
+    with pytest.raises(ValueError, match=rf"^maxfev must be >= 1, got {maxfev}$"):
+        twopart_fit(data, maxfev=maxfev)
+    assert calls == []
+
+
 def test_predict_guards(identical_subject_fit):
     _, fit = identical_subject_fit
     with pytest.raises(ValueError, match="share a length"):

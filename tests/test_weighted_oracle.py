@@ -66,6 +66,44 @@ def test_paths_and_efficiency(seed):
     assert path_length(g).unreachable_pair_count == int((~finite & off).sum())
 
 
+def integer_weighted(G, seed):
+    """G with weights drawn from {1, 2}: lengths 1 and 0.5 add up exactly, so
+    many geodesics tie and Dijkstra meets each tie at an equal distance."""
+    G = nx.convert_node_labels_to_integers(G, ordering="sorted")
+    w = np.random.default_rng(seed).choice([1.0, 2.0], G.number_of_edges())
+    triples = [(a, b, x) for (a, b), x in zip(G.edges(), w.tolist())]
+    for a, b, x in triples:
+        G[a][b].update(weight=x, length=1.0 / x)
+    return WeightedNetwork(G.number_of_nodes(), triples), G
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        nx.grid_2d_graph(6, 7),
+        nx.hypercube_graph(4),
+        nx.watts_strogatz_graph(30, 4, 0.0),  # ring lattice
+        nx.gnp_random_graph(25, 0.2, seed=3),
+    ],
+    ids=["grid", "hypercube", "ring_lattice", "gnp"],
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_betweenness_with_tied_weighted_geodesics(G, seed):
+    g, G = integer_weighted(G, seed)
+    tied = [
+        t for t in range(1, g.n)
+        if nx.has_path(G, 0, t) and len(list(nx.all_shortest_paths(G, 0, t, weight="length"))) > 1
+    ]
+    assert tied  # the sweep reaches the equal-distance branch of the search
+    node = nx.betweenness_centrality(G, normalized=False, weight="length")
+    assert np.allclose(betweenness(g), [node[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
+    edge = nx.edge_betweenness_centrality(G, normalized=False, weight="length")
+    ours = edge_betweenness(g)
+    assert set(ours) == {(min(e), max(e)) for e in edge}
+    for (a, b), value in edge.items():
+        assert ours[(min(a, b), max(a, b))] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_betweenness_and_closeness(seed):
     g, G = random_weighted(seed)
