@@ -63,8 +63,9 @@ CONFIG = {
 }
 
 
-def write_alltypes(out_dir):
-    """Write the panel, manifest and config under out_dir; return the config path."""
+def write_alltypes(out_dir, config=CONFIG):
+    """Write the panel, manifest and config (CONFIG unless given) under
+    out_dir; return the config path."""
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(SEED)
     modules = np.repeat([0, 1], NODES // 2)
@@ -84,7 +85,7 @@ def write_alltypes(out_dir):
         "sampling_interval": 2.0,
         "coordinates": np.round(rng.uniform(0, 3, (NODES, 3)), 6).tolist(),
     }
-    for name, doc in (("manifest.json", manifest), ("config.json", CONFIG)):
+    for name, doc in (("manifest.json", manifest), ("config.json", config)):
         with open(os.path.join(out_dir, name), "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -4,10 +4,12 @@
 
 The first path is the bundled ``src/fcnets/data/config.json``. OUTDIR then
 receives the ``cohort`` benchmark inputs of seeds 1-3 (``cohort1`` ..
-``cohort3``, from ``perfbench.inputs``) and the config that runs every
-analysis type (``alltypes``, from ``scripts/alltypes_config.py``). Each is
-seeded, so a rerun writes the same bytes. The whole byte-identity check of
-a change is then
+``cohort3``, from ``perfbench.inputs``), the config that runs every
+analysis type (``alltypes``, from ``scripts/alltypes_config.py``), and the
+same panel estimated by synchronization (``synchronization``: a metrics
+analysis and a 10-replicate bootstrap, whose every replicate re-estimates).
+The other configs estimate by correlation only. Each is seeded, so a rerun
+writes the same bytes. The whole byte-identity check of a change is then
 
     python3 scripts/report_digest.py SRC_DIR $(python3 scripts/standing_configs.py OUTDIR)
 
@@ -22,11 +24,19 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, ROOT)
 
-from alltypes_config import write_alltypes  # noqa: E402
+from alltypes_config import CONFIG, METRICS, write_alltypes  # noqa: E402
 from perfbench.inputs import cohort_study, write_cohort  # noqa: E402
 
 BUNDLED = os.path.join(ROOT, "src", "fcnets", "data", "config.json")
 COHORT_SEEDS = (1, 2, 3)
+SYNCHRONIZATION = {
+    **CONFIG,
+    "estimator": {"name": "synchronization"},
+    "analyses": [
+        {"type": "metrics", "params": {"metrics": METRICS}},
+        {"type": "bootstrap", "params": {"metric": "global_efficiency", "replicates": 10}},
+    ],
+}
 
 
 def write_standing(out_dir):
@@ -37,6 +47,7 @@ def write_standing(out_dir):
         os.makedirs(directory, exist_ok=True)
         paths.append(write_cohort(directory, cohort_study(seed))["config"])
     paths.append(write_alltypes(os.path.join(out_dir, "alltypes")))
+    paths.append(write_alltypes(os.path.join(out_dir, "synchronization"), SYNCHRONIZATION))
     return paths
 
 

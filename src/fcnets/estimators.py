@@ -9,6 +9,7 @@ returns a ConnectionMatrix with exact symmetry and a zero diagonal.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,6 +272,11 @@ class DelayEmbedding:
     neighbor_count: int = 5
 
     def __post_init__(self):
+        for name in ("lag", "dim", "neighbor_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.lag < 1 or self.dim < 2 or self.neighbor_count < 1:
             raise ValueError("need lag >= 1, dim >= 2, neighbor_count >= 1")
 
@@ -288,48 +294,83 @@ def _delay_vectors(x, embed):
     return x[idx]
 
 
+# Up to this many neighbours, argmin rounds pick them; above it, and on a
+# tie, `np.argpartition` does. A round is one pass over the (B, B)
+# distances, so the rounds cost grows with k while `np.argpartition`'s
+# does not; at B = 296 one costs about as much as 19 rounds.
+ROUNDS_MAX_K = 18
+
+
+def _nearest_by_rounds(d2, k):
+    """Flat indices (B, k) of each row's k nearest, or None on a tie.
+
+    Round j takes each row's argmin and sets it to inf. The picks are the k
+    nearest of their row, and the only such set, unless one more argmin
+    reaches the k-th distance again (or a NaN was picked, which argmin
+    takes first). On a tie d2 is restored and None is returned; a row that
+    ran out of finite distances picked some entry twice, so the rounds are
+    restored last to first and each entry ends at its first-read value.
+    """
+    B = d2.shape[0]
+    flat = d2.reshape(-1)
+    offsets = np.arange(0, B * B, B)
+    picks, values = np.empty((k, B), dtype=np.intp), np.empty((k, B))
+    for j in range(k):
+        np.add(d2.argmin(axis=1), offsets, out=picks[j])
+        flat.take(picks[j], out=values[j])
+        flat.put(picks[j], np.inf)
+    following = flat.take(d2.argmin(axis=1) + offsets)
+    # values[0] <= values[-1] is False only where a NaN was picked
+    if np.all((following > values[-1]) & (values[0] <= values[-1])):
+        return picks.T
+    flat.put(picks[::-1], values[::-1])
+    return None
+
+
 def _neighbor_indices(series, embed):
     """Per node, (B, k) indices: row b holds the k nearest delay vectors of b,
     in no order.
 
     Temporal neighbors closer than the embedding window (b itself included)
     are excluded so trivially-adjacent vectors never count as recurrences.
-    Each row's k-th smallest distance bounds its neighbours: when exactly
-    B * k entries lie at or below their row's bound, every row has exactly
-    its k nearest there, and they are taken in column order. Otherwise some
-    row ties at its k-th distance, and `np.argpartition` picks which of the
-    tied vectors count. The (B, B) distance buffers are shared by all nodes:
-    fresh ones would each be a new memory map once B^2 floats outgrow the
+    For k <= ROUNDS_MAX_K, k argmin rounds find the neighbours
+    (`_nearest_by_rounds`). Above it, or where a row ties at its k-th
+    distance, `np.argpartition` picks them, and so which of the tied
+    vectors count, on that node's distances. The rounds find the only k
+    nearest of each row, so the sets do not depend on the method. The
+    (B, B) distance buffers are shared by all nodes: fresh
+    ones would each be a new memory map once B^2 floats outgrow the
     allocator's threshold.
     """
     B, k = embed.vector_count(series.shape[1]), embed.neighbor_count
-    excluded = np.abs(np.subtract.outer(np.arange(B), np.arange(B))) < embed.window()
+    cols = np.arange(B)[:, None] + np.arange(1 - embed.window(), embed.window())
+    # flat indices of the (b, c) with |b - c| < window
+    excluded = (cols + np.arange(0, B * B, B)[:, None])[(cols >= 0) & (cols < B)]
     d2, gram = np.empty((B, B)), np.empty((B, B))
     for x in series:
         vectors = _delay_vectors(x, embed)
         sq = np.sum(vectors**2, axis=1)
-        np.add.outer(sq, sq, out=d2)
+        d2[:] = sq
+        d2 += sq[:, None]
         np.matmul(vectors, vectors.T, out=gram)
         gram *= 2.0
         d2 -= gram
-        d2[excluded] = np.inf
-        np.copyto(gram, d2)
-        gram.partition(k - 1, axis=1)  # in place: column k - 1 holds each row's k-th distance
-        near = np.flatnonzero(d2 <= gram[:, k - 1 : k])
-        if near.size == B * k:
-            yield (near % B).reshape(B, k)
-        else:
-            yield np.argpartition(d2, k - 1, axis=1)[:, :k]
+        d2.put(excluded, np.inf)
+        near = _nearest_by_rounds(d2, k) if k <= ROUNDS_MAX_K else None
+        yield np.argpartition(d2, k - 1, axis=1)[:, :k] if near is None else near % B
 
 
 def synchronization_matrix(series, embed=DelayEmbedding()):
     """Generalized synchronization via nearest-neighbor coincidence.
 
     Each series is delay-embedded; for every time index the k nearest delay
-    vectors are found in each node's own embedded space. The index for a pair
-    is the average fraction of shared neighbor indices, which is 1 for
-    identical series and near k/B for independent ones. The two directed
-    fractions coincide by construction; their average is reported.
+    vectors are found in each node's own embedded space (`_neighbor_indices`:
+    argmin rounds up to k = ROUNDS_MAX_K, and `np.argpartition`'s choice
+    above it or where a row ties at its k-th distance). The
+    index for a pair is the average fraction of shared neighbor indices,
+    which is 1 for identical series and near k/B for independent ones. The
+    two directed fractions coincide by construction; their average is
+    reported.
     """
     series = np.asarray(series, dtype=float)
     _check_variance(series)
@@ -341,10 +382,11 @@ def synchronization_matrix(series, embed=DelayEmbedding()):
         )
     k = embed.neighbor_count
     # row i of the n x B^2 membership marks (b, c) when c is a neighbor of b
-    # for node i; one sparse product counts the shared pairs of every two nodes
+    # for node i; one sparse product counts the shared pairs of every two
+    # nodes. The counts are at most B * k, so int32 holds them.
     cols = [(np.arange(B)[:, None] * B + idx).ravel() for idx in _neighbor_indices(series, embed)]
     member = csr_matrix(
-        (np.ones(n * B * k, dtype=np.int64), np.concatenate(cols), np.arange(n + 1) * (B * k)),
+        (np.ones(n * B * k, dtype=np.int32), np.concatenate(cols), np.arange(n + 1) * (B * k)),
         shape=(n, B * B),
     )
     shared = (member @ member.T).toarray()
@@ -389,7 +431,11 @@ def estimate(series, name, params=None):
         if name == "mutual_information":
             return mutual_information_matrix(series, **params)
         if name == "synchronization":
-            return synchronization_matrix(series, DelayEmbedding(**params))
+            try:
+                embed = DelayEmbedding(**params)
+            except ValueError as exc:
+                raise ValueError(f"estimator {name!r} failed: {exc}") from exc
+            return synchronization_matrix(series, embed)
     except TypeError as exc:
         raise ValueError(f"estimator {name!r} failed: {exc}") from exc
     raise ValueError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")

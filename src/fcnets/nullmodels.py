@@ -357,10 +357,8 @@ def powerlaw_fit(degrees, bootstrap_reps=200, seed=0, min_tail=50):
         synth[:n_tail] = _draw(table, n_tail, rng)
         if n - n_tail > 0:  # only if some value lies below x_min, else p_tail is 1
             synth[n_tail:] = rng.choice(below, size=n - n_tail, replace=True)
-        try:
-            _, _, D_b, _, _ = _fit_tail(synth, min_tail, log_zeta)
-        except ValueError:
-            D_b = np.inf
+        # synth has the data's n >= min_tail values, so its smallest cutoff is valid
+        _, _, D_b, _, _ = _fit_tail(synth, min_tail, log_zeta)
         if D_b >= D_obs:
             exceed += 1
     gof_p = (exceed + 1) / (bootstrap_reps + 1)

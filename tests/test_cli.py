@@ -462,6 +462,11 @@ def twopart_omega(kind="exponential", **omega):
             "estimator 'synchronization' failed",
         ),
         (
+            {"estimator": {"name": "synchronization", "params": {"lag": True}}},
+            1,
+            "estimator 'synchronization' failed: lag must be an integer, got True",
+        ),
+        (
             {"estimator": {"name": "correlation", "params": {"bogus": 1}}},
             1,
             "estimator 'correlation' failed",
@@ -482,7 +487,8 @@ def twopart_omega(kind="exponential", **omega):
         "block_length_one",
         "twopart_gamma", "twopart_covariates_list", "seed_float", "seed_string",
         "workers_list", "out_dir_int", "partial_correlation_unknown", "shrinkage_string",
-        "coherence_band_string", "synchronization_lag_string", "correlation_unknown",
+        "coherence_band_string", "synchronization_lag_string", "synchronization_lag_bool",
+        "correlation_unknown",
         "ergm_terms_repeated", "ergm_terms_no_edges", "omega_unknown_key", "omega_rho_range",
         "omega_phi_negative", "omega_phi_huge",
     ],

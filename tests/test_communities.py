@@ -276,3 +276,40 @@ def test_louvain_on_lists_matches_the_array_sweep(monkeypatch):
         nx_q = nx.algorithms.community.modularity(G, [set(c.tolist()) for c in got.communities()])
         assert abs(got.q - nx_q) <= 1e-12
     assert sum(k >= 2 for k in levels) >= 10  # graphs that aggregate more than one level
+
+
+def _dense_modularity(A, assignment):
+    """Q = (1 / 2m) sum_ij (A_ij - k_i k_j / 2m) [c_i = c_j], on the dense matrix."""
+    k = A.sum(axis=1)
+    two_m = k.sum()
+    same = assignment[:, None] == assignment[None, :]
+    return float(np.sum((A - np.outer(k, k) / two_m)[same]) / two_m)
+
+
+def test_louvain_finest_level_admits_no_improving_single_move(monkeypatch):
+    # the first level stops when no node gains from moving: check that by
+    # brute force on the original graph, over every node and every community
+    # among its neighbours
+    levels = []
+    level = communities._louvain_level
+
+    def recorded(*args):
+        comm, improved = level(*args)
+        levels.append(comm)
+        return comm, improved
+
+    monkeypatch.setattr(communities, "_louvain_level", recorded)
+    for seed in range(60):
+        g = planted_graph(seed)
+        levels.clear()
+        louvain(g, seed=seed)
+        A = np.zeros((g.n, g.n))
+        i, j = g.pairs.T
+        A[i, j] = A[j, i] = g.edge_weights()
+        comm = levels[0]
+        q = _dense_modularity(A, comm)
+        for node in range(g.n):
+            for c in set(comm[np.flatnonzero(A[node])].tolist()) - {comm[node]}:
+                moved = comm.copy()
+                moved[node] = c
+                assert _dense_modularity(A, moved) - q <= 1e-12, (seed, node, c)

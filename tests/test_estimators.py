@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from fcnets import estimators
 from fcnets.estimators import (
+    ROUNDS_MAX_K,
     ConnectionMatrix,
     DelayEmbedding,
     _correlations,
@@ -230,6 +232,112 @@ def test_synchronization_neighbours_with_ties_at_the_kth_distance(rng):
     assert tied == [True, False]
     shared = sum(len(a & b) for a, b in zip(*oracle))
     assert synchronization_matrix(x, embed).values[0, 1] == shared / (B * k)
+
+
+def _reference_neighbor_indices(series, embed):
+    """The selection as it was before the argmin rounds, for every k: a
+    partition bounds each row's k-th distance, and where a row ties there
+    `np.argpartition` picks. `_neighbor_indices` must reproduce its sets."""
+    B, k = embed.vector_count(series.shape[1]), embed.neighbor_count
+    excluded = np.abs(np.subtract.outer(np.arange(B), np.arange(B))) < embed.window()
+    d2, gram = np.empty((B, B)), np.empty((B, B))
+    for x in series:
+        vectors = x[np.arange(B)[:, None] + embed.lag * np.arange(embed.dim)]
+        sq = np.sum(vectors**2, axis=1)
+        np.add.outer(sq, sq, out=d2)
+        np.matmul(vectors, vectors.T, out=gram)
+        gram *= 2.0
+        d2 -= gram
+        d2[excluded] = np.inf
+        np.copyto(gram, d2)
+        gram.partition(k - 1, axis=1)
+        near = np.flatnonzero(d2 <= gram[:, k - 1 : k])
+        if near.size == B * k:
+            yield (near % B).reshape(B, k)
+        else:
+            yield np.argpartition(d2, k - 1, axis=1)[:, :k]
+
+
+def test_neighbour_selection_matches_the_partition_rule(rng, monkeypatch):
+    # continuous, 1-decimal and {0, 1, 2} panels, each at the shortest
+    # series the embedding allows (B = k + 2 * window + 1) and a longer one
+    rounds = []
+    select = estimators._nearest_by_rounds
+
+    def recorded(d2, k):
+        near = select(d2, k)
+        rounds.append((k, near is None))
+        return near
+
+    monkeypatch.setattr(estimators, "_nearest_by_rounds", recorded)
+    for k in (1, 3, 5, ROUNDS_MAX_K, ROUNDS_MAX_K + 1):
+        for lag, dim in ((1, 2), (2, 3)):
+            embed = DelayEmbedding(lag=lag, dim=dim, neighbor_count=k)
+            w = embed.window()
+            for B in (k + 2 * w + 1, 80):
+                x = rng.standard_normal((4, B + w))
+                for panel in (x, np.round(x, 1), rng.integers(0, 3, x.shape).astype(float)):
+                    got = list(_neighbor_indices(panel, embed))
+                    want = list(_reference_neighbor_indices(panel, embed))
+                    for g, r in zip(got, want):
+                        assert g.shape == (B, k)
+                        assert [set(row) for row in g.tolist()] == [set(row) for row in r.tolist()]
+                    sets = [[set(row) for row in r.tolist()] for r in want]
+                    shared = np.zeros((4, 4), dtype=np.int64)
+                    for i in range(4):
+                        for j in range(i + 1, 4):
+                            shared[i, j] = shared[j, i] = sum(
+                                len(a & b) for a, b in zip(sets[i], sets[j])
+                            )
+                    values = synchronization_matrix(panel, embed).values
+                    assert values.tobytes() == (shared / (B * k)).tobytes()
+    # the rounds ran with and without a tie fallback, and above
+    # ROUNDS_MAX_K never: there np.argpartition picked every node
+    assert {tie for _, tie in rounds} == {False, True}
+    assert max(k for k, _ in rounds) == ROUNDS_MAX_K
+
+
+@pytest.mark.parametrize("large", [{10: 1.2e154, 40: 1.2e154}, {0: 1.2e154, 40: 2e154}])
+def test_neighbour_selection_matches_the_partition_rule_where_distances_overflow(rng, large):
+    # two vectors holding 1.2e154 are at distance inf - inf = NaN from each
+    # other and at distinct finite distances from the rest: argmin takes a
+    # NaN first, a partition puts it last, so the rounds must defer. In the
+    # second case vector 40 = (2e154, x[41]) has an infinite square: it is
+    # at NaN from vector 0 and at inf from all others, so its row picks
+    # column 0 in every round and must be restored to NaN there.
+    x = rng.standard_normal((2, 60)) * 1e150
+    x[0, list(large)] = list(large.values())
+    embed = DelayEmbedding(lag=1, dim=2, neighbor_count=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = list(_neighbor_indices(x, embed))
+        want = list(_reference_neighbor_indices(x, embed))
+    for g, r in zip(got, want):
+        assert [set(row) for row in g.tolist()] == [set(row) for row in r.tolist()]
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("lag", True),
+        ("lag", "x"),
+        ("dim", 2.5),
+        ("neighbor_count", 2.0),
+        ("neighbor_count", np.bool_(True)),
+    ],
+)
+def test_delay_embedding_rejects_non_integer_sizes(rng, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        DelayEmbedding(**{name: value})
+    x = rng.standard_normal((3, 60))
+    message = f"estimator 'synchronization' failed: {name} must be an integer"
+    with pytest.raises(ValueError, match=message):
+        estimate(x, "synchronization", {name: value})
+
+
+def test_delay_embedding_takes_numpy_integers():
+    embed = DelayEmbedding(lag=np.int64(1), dim=np.int32(2), neighbor_count=np.uint8(3))
+    assert [type(v) for v in (embed.lag, embed.dim, embed.neighbor_count)] == [int, int, int]
+    assert embed == DelayEmbedding(1, 2, 3)
 
 
 def test_connection_matrix_roundtrip(tmp_path, rng):

@@ -332,6 +332,53 @@ def test_powerlaw_fit_guards():
         powerlaw_fit([1, 2, 3, 4, 5] * 4, min_tail=50)
 
 
+def _recorded_fits(monkeypatch):
+    """Wrap nullmodels._fit_tail; returns the list of samples it is given."""
+    samples = []
+    fit_tail = nullmodels._fit_tail
+
+    def recorded(values, *args):
+        samples.append(np.array(values))
+        return fit_tail(values, *args)
+
+    monkeypatch.setattr(nullmodels, "_fit_tail", recorded)
+    return samples
+
+
+def test_powerlaw_bootstrap_draws_below_the_cutoff_from_the_data(rng, monkeypatch):
+    # below x_min = 10 the data hold only 1s and 3s, two to one; the model's
+    # table starts at x_min, so every synthetic value below it is a data draw
+    data = np.concatenate([np.repeat([1, 3], [200, 100]), sample_powerlaw(2.5, 10, 500, rng)])
+    rng.shuffle(data)
+    samples = _recorded_fits(monkeypatch)
+    fit = powerlaw_fit(data, bootstrap_reps=20, seed=2)
+    assert (fit.x_min, fit.tail_count) == (10, 500)
+    synthetic = samples[1:]
+    assert len(synthetic) == 20
+    drawn = []
+    for synth in synthetic:
+        low = synth < fit.x_min
+        assert synth.size == data.size
+        assert np.all(np.diff(low.astype(int)) >= 0)  # the model's draws, then the data's
+        drawn.append(synth[low])
+    drawn = np.concatenate(drawn)
+    assert set(drawn.tolist()) == {1, 3}
+    # each value lies below x_min with probability 300/800: 6000 of 16000 expected, sd 61
+    assert abs(drawn.size - 6000) < 300
+    assert np.mean(drawn == 1) == pytest.approx(2 / 3, abs=0.03)
+
+
+def test_powerlaw_bootstrap_refits_always_find_a_cutoff(rng, monkeypatch):
+    # a synthetic sample has the data's size, so its smallest value is a
+    # cutoff that keeps all n >= min_tail values, even at min_tail = n
+    data = sample_powerlaw(2.5, 2, 300, rng)
+    samples = _recorded_fits(monkeypatch)
+    fit = powerlaw_fit(data, bootstrap_reps=20, seed=4, min_tail=data.size)
+    assert (fit.x_min, fit.tail_count) == (data.min(), data.size)
+    assert len(samples) == 21 and all(s.size == data.size for s in samples)
+    assert 1 / 21 <= fit.gof_p <= 1.0
+
+
 def test_powerlaw_fit_deterministic(rng):
     draws = sample_powerlaw(2.2, 1, 800, rng)
     a = powerlaw_fit(draws, bootstrap_reps=19, seed=7)

@@ -91,13 +91,17 @@ def test_standing_configs_regenerate_identically_and_validate(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout.split())
     first, second = runs
-    assert first[0] == second[0] and Path(first[0]).resolve() == Path(CONFIG) and len(first) == 5
+    assert first[0] == second[0] and Path(first[0]).resolve() == Path(CONFIG) and len(first) == 6
     for a, b in zip(first[1:], second[1:]):
         assert Path(a).parent.name == Path(b).parent.name
         files = sorted(p.name for p in Path(a).parent.iterdir())
         assert files == sorted(p.name for p in Path(b).parent.iterdir())
         for f in files:
             assert (Path(a).parent / f).read_bytes() == (Path(b).parent / f).read_bytes()
-    assert [Path(p).parent.name for p in first[1:]] == ["cohort1", "cohort2", "cohort3", "alltypes"]
+    names = [Path(p).parent.name for p in first[1:]]
+    assert names == ["cohort1", "cohort2", "cohort3", "alltypes", "synchronization"]
     for path in first:
         load_config(path, out_dir=str(tmp_path / "out"))  # raises ConfigError on a problem
+    config = load_config(first[-1], out_dir=str(tmp_path / "out"))
+    assert config.estimator == "synchronization"
+    assert [kind for kind, _, _ in config.analyses] == ["metrics", "bootstrap"]
