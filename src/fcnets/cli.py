@@ -1,9 +1,12 @@
 """Command-line front end.
 
 One subcommand per analysis family plus `pipeline` for config-driven runs.
+An analysis subcommand takes the pipeline parameters named in _TABLE_FLAGS
+as flags, with the defaults, choices and bounds of the pipeline's tables.
 Exit codes: 0 success, 1 computational failure (JSON error object on
-stderr), 2 usage or validation failure. Reports print to stdout as JSON
-unless --out redirects them to a file.
+stderr), 2 usage or validation failure (a validation failure lists every
+problem on stderr, as a pipeline config does). Reports print to stdout as
+JSON unless --out redirects them to a file.
 """
 
 from __future__ import annotations
@@ -18,9 +21,21 @@ from . import communities, ergm, groupcompare, metrics, nullmodels, resampling, 
 from .estimators import ESTIMATOR_NAMES, estimate, load_connection_matrix
 from .networks import load_network
 from .panels import _parse_csv_matrix, load_timeseries
-from .pipeline import ConfigError, load_config, run_pipeline
+from .pipeline import _CONFIG_PARAMS, ANALYSIS_PARAMS, REQUIRED, ConfigError, _checked_params
+from .pipeline import _nested_problems, load_config, run_pipeline
 from .runtime import to_json
-from .thresholding import apply_spec
+from .thresholding import apply_spec, spec_problems
+
+_TABLE_FLAGS = {  # analysis subcommand: the table parameters it takes as flags
+    "metrics": ("metrics",),
+    "smallworld": ("null_count", "swaps_per_edge", "clustering_variant", "seed", "workers"),
+    "community": ("cartography", "seed"),
+    "compare": ("method", "correction", "t_threshold", "permutations", "alternative", "radius", "seed"),
+    "ergm": ("terms", "seed"),
+    "twopart": ("threshold", "maxfev"),
+    "bootstrap": ("metric", "replicates", "block_length", "seed"),
+}
+_FLAG_TYPES = {"int": int, "number": float, "str": str}
 
 
 def _emit(args, obj):
@@ -33,8 +48,7 @@ def _emit(args, obj):
 
 
 def _load_series(path, layout):
-    panel = load_timeseries(path, layout=layout)
-    return panel.subjects[0]
+    return load_timeseries(path, layout=layout).subjects[0]
 
 
 def _cmd_estimate(args):
@@ -49,38 +63,18 @@ def _cmd_estimate(args):
     return {"measure": cm.measure, "values": cm.values, "params": cm.params}
 
 
-def _threshold_spec_from_args(args):
-    spec = {"method": args.strategy}
-    if args.strategy == "fixed_threshold":
-        spec["criterion"] = args.criterion
-        if args.tau is not None:
-            spec["tau"] = args.tau
-        if args.criterion == "significance":
-            spec["alpha"] = args.alpha
-            if args.correction != "none":
-                spec["correction"] = args.correction
-            else:
-                spec["correction"] = None
-            spec["series_length"] = args.series_length
-    elif args.strategy == "fixed_degree":
-        spec["k_target"] = args.k
-    elif args.strategy == "fixed_density":
-        if args.density is not None:
-            spec["density"] = args.density
-        if args.path_exponent is not None:
-            spec["path_exponent"] = args.path_exponent
-    elif args.strategy == "weighted":
-        spec["policy"] = args.policy
-        if args.tau is not None:
-            spec["tau"] = args.tau
-    if args.negatives and args.strategy in ("fixed_threshold", "fixed_degree", "fixed_density"):
-        spec["negatives"] = args.negatives
+def _checked_spec(spec):
+    """A threshold spec given as a flag; raises ConfigError if spec_problems
+    finds any."""
+    problems = spec_problems(spec)
+    if problems:
+        raise ConfigError(problems)
     return spec
 
 
 def _cmd_threshold(args):
-    cm = load_connection_matrix(args.infile)
-    g = apply_spec(cm, _threshold_spec_from_args(args))
+    spec = _checked_spec(args.spec)
+    g = apply_spec(load_connection_matrix(args.infile), spec)
     if args.out:
         g.save(args.out)
         return None
@@ -89,21 +83,18 @@ def _cmd_threshold(args):
 
 def _cmd_metrics(args):
     g = load_network(args.infile)
-    names = args.metric or ["density"]
-    return {m: metrics.metric_value(g, m) for m in names}
+    return {m: metrics.metric_value(g, m) for m in args.metrics}
 
 
 def _cmd_smallworld(args):
-    g = load_network(args.infile)
-    res = nullmodels.small_world(
-        g,
+    return nullmodels.small_world(
+        load_network(args.infile),
         null_count=args.null_count,
         swaps_per_edge=args.swaps_per_edge,
         seed=args.seed,
         clustering_variant=args.clustering_variant,
         workers=args.workers,
     )
-    return res
 
 
 def _cmd_community(args):
@@ -123,17 +114,9 @@ def _load_group(paths):
 
 
 def _cmd_compare(args):
-    group_a = _load_group(args.group_a)
-    group_b = _load_group(args.group_b)
+    group_a, group_b = _load_group(args.group_a), _load_group(args.group_b)
     if args.method == "edgewise":
-        res = groupcompare.edgewise_compare(group_a, group_b, correction=args.correction)
-        return {
-            "method": "edgewise",
-            "t": res.t,
-            "p": res.p,
-            "q": res.q,
-            "significant": res.significant_edges(args.alpha),
-        }
+        return groupcompare.edgewise_compare(group_a, group_b, correction=args.correction)
     test = {
         "t_threshold": args.t_threshold,
         "permutations": args.permutations,
@@ -160,7 +143,7 @@ def _cmd_ergm(args):
         "pseudo_loglik": fit.pseudo_loglik,
         "stats": ergm.ergm_stats(g, terms).tolist(),
     }
-    if args.simulate:
+    if args.simulate is not None:
         nets = ergm.ergm_simulate(fit.model(), g.n, count=args.simulate, seed=args.seed)
         out["simulated_stats"] = [ergm.ergm_stats(s, terms).tolist() for s in nets]
     return out
@@ -168,12 +151,8 @@ def _cmd_ergm(args):
 
 def _cmd_twopart(args):
     group = _load_group(args.matrices)
-    coords = None
-    if args.coordinates:
-        coords, _ = _parse_csv_matrix(args.coordinates)
-    data = twopart.build_dyad_dataset(
-        group, coordinates=coords, threshold=args.presence_threshold
-    )
+    coords = _parse_csv_matrix(args.coordinates)[0] if args.coordinates else None
+    data = twopart.build_dyad_dataset(group, coordinates=coords, threshold=args.threshold)
     omega = twopart.CorrelationStructure(args.omega)
     fit = twopart.twopart_fit(data, omega=omega, maxfev=args.maxfev)
     return {
@@ -188,10 +167,9 @@ def _cmd_twopart(args):
 
 
 def _cmd_bootstrap(args):
-    series = _load_series(args.infile, args.layout)
-    threshold_spec = json.loads(args.threshold) if args.threshold else None
+    threshold_spec = None if args.threshold is None else _checked_spec(args.threshold)
     return resampling.metric_error(
-        series,
+        _load_series(args.infile, args.layout),
         metric=args.metric,
         estimator=args.estimator,
         threshold_spec=threshold_spec,
@@ -207,127 +185,103 @@ def _cmd_pipeline(args):
     return {"reports": written, "out_dir": config.out_dir}
 
 
+def _add_table_flags(p, command):
+    """One flag per table parameter of command, absent from the namespace
+    unless given."""
+    table = {**_CONFIG_PARAMS, **ANALYSIS_PARAMS[command]}
+    for name in _TABLE_FLAGS[command]:
+        param, flag = table[name], "--" + name.replace("_", "-")
+        if param.kind == "bool":
+            p.add_argument(flag, action="store_true", default=argparse.SUPPRESS)
+            continue
+        p.add_argument(
+            flag,
+            type=_FLAG_TYPES[param.kind],
+            nargs="+" if param.many else None,
+            choices=param.choices or None,
+            required=param.default is REQUIRED,
+            default=argparse.SUPPRESS,
+        )
+
+
+def _table_values(args):
+    """The table parameters of args.command, given or defaulted; raises
+    ConfigError listing every problem the pipeline would find in them."""
+    table = {**_CONFIG_PARAMS, **ANALYSIS_PARAMS[args.command]}
+    table = {name: table[name] for name in _TABLE_FLAGS[args.command]}
+    given = {name: getattr(args, name) for name in table if hasattr(args, name)}
+    checked, problems = _checked_params(args.command, table, given, None)
+    problems = problems or _nested_problems(args.command, checked)
+    if problems:
+        raise ConfigError(problems)
+    return checked
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fcnets",
         description="Functional connectivity network analysis",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True):
+    def add(command, fn, help, infile=True):
+        p = sub.add_parser(command, help=help, allow_abbrev=False)
+        p.set_defaults(fn=fn)
+        if infile:
+            p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", help="write the report here instead of stdout")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
+        if command in _TABLE_FLAGS:
+            _add_table_flags(p, command)
+        return p
 
-    p = sub.add_parser("estimate", help="time series to connection matrix")
-    p.add_argument("--in", dest="infile", required=True)
+    layouts = ["rows-are-time", "rows-are-nodes"]
+    p = add("estimate", _cmd_estimate, "time series to connection matrix")
     p.add_argument("--measure", choices=ESTIMATOR_NAMES, default="correlation")
-    p.add_argument("--layout", choices=["rows-are-time", "rows-are-nodes"], default="rows-are-time")
+    p.add_argument("--layout", choices=layouts, default="rows-are-time")
     p.add_argument("--band", help="low,high in Hz (coherence)")
     p.add_argument("--params", help="extra estimator parameters as JSON")
-    add_common(p, seed=False)
-    p.set_defaults(fn=_cmd_estimate)
 
-    p = sub.add_parser("threshold", help="connection matrix to network")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument(
-        "--strategy",
-        choices=["fixed_threshold", "fixed_degree", "fixed_density", "weighted"],
-        default="fixed_threshold",
-    )
-    p.add_argument("--criterion", choices=["value", "significance", "min_connected"], default="value")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--correction", choices=["bonferroni", "bh-fdr", "none"], default="bonferroni")
-    p.add_argument("--series-length", type=int)
-    p.add_argument("--k", type=float, help="target average degree")
-    p.add_argument("--density", type=float)
-    p.add_argument("--path-exponent", type=float)
-    p.add_argument("--policy", choices=["keep_positive", "absolute", "threshold_then_keep"], default="keep_positive")
-    p.add_argument("--negatives", choices=["drop", "absolute"])
-    add_common(p, seed=False)
-    p.set_defaults(fn=_cmd_threshold)
+    p = add("threshold", _cmd_threshold, "connection matrix to network")
+    p.add_argument("--spec", type=json.loads, required=True, help="threshold spec as JSON")
 
-    p = sub.add_parser("metrics", help="graph metrics of a network")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--metric", action="append", choices=metrics.METRIC_NAMES)
-    add_common(p, seed=False)
-    p.set_defaults(fn=_cmd_metrics)
+    add("metrics", _cmd_metrics, "graph metrics of a network")
+    add("smallworld", _cmd_smallworld, "sigma and omega against null ensembles")
 
-    p = sub.add_parser("smallworld", help="sigma and omega against null ensembles")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--null-count", type=int, default=20)
-    p.add_argument("--swaps-per-edge", type=int, default=10)
-    p.add_argument("--clustering-variant", choices=["mean_local", "transitivity"], default="mean_local")
-    p.add_argument("--workers", type=int)
-    add_common(p)
-    p.set_defaults(fn=_cmd_smallworld)
-
-    p = sub.add_parser("community", help="community detection and cartography")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("community", _cmd_community, "community detection and cartography")
     p.add_argument("--algorithm", choices=["louvain", "girvan-newman"], default="louvain")
-    p.add_argument("--cartography", action="store_true")
-    add_common(p)
-    p.set_defaults(fn=_cmd_community)
 
-    p = sub.add_parser("compare", help="two-group edge-population tests")
+    p = add("compare", _cmd_compare, "two-group edge-population tests", infile=False)
     p.add_argument("--group-a", nargs="+", required=True, help="connection matrix CSVs")
     p.add_argument("--group-b", nargs="+", required=True)
-    p.add_argument("--method", choices=["edgewise", "nbs", "spc"], default="nbs")
-    p.add_argument("--correction", choices=["bonferroni", "bh-fdr"], default="bh-fdr")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--t-threshold", type=float, default=2.0)
-    p.add_argument("--permutations", type=int, default=1000)
-    p.add_argument("--alternative", choices=["two_sided", "greater", "less"], default="two_sided")
     p.add_argument("--coordinates", help="CSV of node coordinates (spc)")
-    p.add_argument("--radius", type=float, default=1.5, help="spatial adjacency radius (spc)")
-    add_common(p)
-    p.set_defaults(fn=_cmd_compare)
 
-    p = sub.add_parser("ergm", help="fit and simulate graph models")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--terms", nargs="+", default=["edges", "two_stars", "triangles"])
+    p = add("ergm", _cmd_ergm, "fit and simulate graph models")
     p.add_argument("--simulate", type=int, help="also simulate this many networks")
-    add_common(p)
-    p.set_defaults(fn=_cmd_ergm)
 
-    p = sub.add_parser("twopart", help="dyad-level two-part mixed model")
+    p = add("twopart", _cmd_twopart, "dyad-level two-part mixed model", infile=False)
     p.add_argument("--matrices", nargs="+", required=True, help="connection matrix CSVs")
     p.add_argument("--coordinates", help="CSV of node coordinates")
-    p.add_argument("--presence-threshold", type=float, default=0.0)
     p.add_argument("--omega", choices=list(twopart.STRUCTURE_KINDS), default="identity")
-    p.add_argument("--maxfev", type=int, default=2000)
-    add_common(p, seed=False)
-    p.set_defaults(fn=_cmd_twopart)
 
-    p = sub.add_parser("bootstrap", help="metric uncertainty via block bootstrap")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--layout", choices=["rows-are-time", "rows-are-nodes"], default="rows-are-time")
-    p.add_argument("--metric", required=True, choices=metrics.METRIC_NAMES)
+    p = add("bootstrap", _cmd_bootstrap, "metric uncertainty via block bootstrap")
+    p.add_argument("--layout", choices=layouts, default="rows-are-time")
     p.add_argument("--estimator", choices=ESTIMATOR_NAMES, default="correlation")
-    p.add_argument("--threshold", help="threshold spec as JSON")
-    p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--block-length", type=int)
-    add_common(p)
-    p.set_defaults(fn=_cmd_bootstrap)
+    p.add_argument("--threshold", type=json.loads, help="threshold spec as JSON")
 
-    p = sub.add_parser("pipeline", help="run a JSON pipeline config")
+    p = add("pipeline", _cmd_pipeline, "run a JSON pipeline config", infile=False)
     p.add_argument("--config", required=True)
-    add_common(p, seed=False)
-    p.set_defaults(fn=_cmd_pipeline)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command in _TABLE_FLAGS:
+            vars(args).update(_table_values(args))
         result = args.fn(args)
     except ConfigError as exc:
-        sys.stderr.write(
-            to_json({"error": "validation", "problems": exc.problems})
-        )
+        sys.stderr.write(to_json({"error": "validation", "problems": exc.problems}))
         return 2
     except (ValueError, RuntimeError, OSError, KeyError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(to_json({"error": type(exc).__name__, "message": str(exc)}))

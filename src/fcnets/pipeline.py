@@ -180,9 +180,13 @@ def _value_problems(label, param, value, subject_count):
 
 def _nested_problems(tag, checked):
     """Problems inside params that passed the table: ergm terms must start
-    with edges and not repeat, and a twopart omega must build a
-    CorrelationStructure, which then replaces the omega dict."""
+    with edges and not repeat, a twopart omega must build a
+    CorrelationStructure, which then replaces the omega dict, and nbs and
+    spc need a t_threshold."""
     problems = []
+    method = checked.get("method")
+    if method in ("nbs", "spc") and checked["t_threshold"] is None:
+        problems.append(f"{tag}: {method} needs 't_threshold'")
     if "terms" in checked:
         try:
             ergm._check_terms(checked["terms"])
@@ -272,8 +276,6 @@ def validate_config(raw, base_dir=".", out_dir=None):
         problems += found or _nested_problems(tag, checked)
         checked_analyses.append((spec["type"], params, checked))
         method, omega = checked.get("method"), checked.get("omega")
-        if method in ("nbs", "spc") and checked["t_threshold"] is None:
-            problems.append(f"{tag}: {method} needs 't_threshold'")
         distance_omega = isinstance(omega, twopart.CorrelationStructure) and (
             omega.kind not in twopart.DISTANCE_FREE_KINDS
         )

@@ -135,10 +135,10 @@ def apply_fixed_threshold(
     """Binary network from a single cutoff rule.
 
     criterion "value": edge iff entry > tau.
-    criterion "significance": edge iff corrected p < alpha, with the entry
-    treated as a correlation from series_length samples and tested through
-    the t transform r * sqrt((T - 2) / (1 - r^2)); correction is
-    "bonferroni" or "bh-fdr".
+    criterion "significance": edge iff corrected p < alpha, 0 < alpha < 1,
+    with the entry treated as a correlation from series_length samples and
+    tested through the t transform r * sqrt((T - 2) / (1 - r^2)); correction
+    is "bonferroni" or "bh-fdr".
     criterion "min_connected": the sparsest value cutoff keeping all n nodes
     in one connected component; edges are all entries >= the connecting
     weight. A single node is connected already: it gets no edge and a
@@ -154,6 +154,8 @@ def apply_fixed_threshold(
         mask = vals[iu, ju] > tau
         meta = {"threshold": {"criterion": "value", "tau": tau, "negatives": negatives}}
     elif criterion == "significance":
+        if not 0 < alpha < 1:  # NaN fails too
+            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
         pv = _correlation_pvalues(cm, series_length)[iu, ju]
         if negatives == "drop":
             sign_ok = cm.values[iu, ju] > 0

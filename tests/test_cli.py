@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 import fcnets
 from conftest import cycle_graph, path_graph
-from fcnets import metrics
-from fcnets.cli import main
+from fcnets import groupcompare, metrics
+from fcnets.cli import _TABLE_FLAGS, main
+from fcnets.estimators import load_connection_matrix
 from fcnets.networks import BinaryNetwork
-from fcnets.pipeline import ANALYSIS_PARAMS, _analysis_metrics, validate_config
+from fcnets.pipeline import _CONFIG_PARAMS, ANALYSIS_PARAMS, _analysis_metrics, validate_config
+from fcnets.runtime import to_json
 
 DATA = Path(fcnets.__file__).parent / "data"
 
@@ -45,7 +47,7 @@ def test_metrics_on_bundled_path_graph(capsys):
     code, out, _ = run_cli(
         capsys,
         "metrics", "--in", DATA / "p3.tsv",
-        "--metric", "global_efficiency", "--metric", "path_length",
+        "--metrics", "global_efficiency", "path_length",
     )
     assert code == 0
     report = json.loads(out)
@@ -65,11 +67,11 @@ def test_estimate_threshold_metrics_round_trip(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys,
         "threshold", "--in", cm_path,
-        "--strategy", "fixed_degree", "--k", "3", "--out", net_path,
+        "--spec", '{"method": "fixed_degree", "k_target": 3}', "--out", net_path,
     )
     assert code == 0 and net_path.exists()
 
-    code, out, _ = run_cli(capsys, "metrics", "--in", net_path, "--metric", "density")
+    code, out, _ = run_cli(capsys, "metrics", "--in", net_path, "--metrics", "density")
     assert code == 0
     # 8 nodes at mean degree 3 keeps 12 of 28 dyads
     assert json.loads(out)["density"] == pytest.approx(12 / 28)
@@ -156,7 +158,7 @@ def test_computational_failure_exits_1(capsys):
     code, out, err = run_cli(
         capsys,
         "threshold", "--in", DATA / "group_a_0.csv",
-        "--strategy", "fixed_degree", "--k", "50",
+        "--spec", '{"method": "fixed_degree", "k_target": 50}',
     )
     assert code == 1 and out == ""
     report = json.loads(err)
@@ -197,16 +199,90 @@ def test_smallworld_rejects_fewer_than_one_swap_per_edge(tmp_path, capsys, swaps
     code, out, err = run_cli(
         capsys, "smallworld", "--in", path, "--null-count", "2", "--swaps-per-edge", swaps
     )
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     report = json.loads(err)
-    assert report["error"] == "ValueError"
-    assert report["message"] == f"swaps_per_edge must be >= 1, got {swaps}"
+    assert report == {
+        "error": "validation",
+        "problems": [f"smallworld: swaps_per_edge must be >= 1, got {swaps}"],
+    }
 
 
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["threshold"])
     assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "threshold", *_TABLE_FLAGS, "pipeline"])
+def test_every_subcommand_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    assert f"usage: fcnets {command}" in capsys.readouterr().out
+
+
+def test_a_flag_prefix_is_not_read_as_a_longer_flag(capsys):
+    # abbreviations would let a renamed flag, --metric, silently mean --metrics
+    with pytest.raises(SystemExit) as exc_info:
+        main(["metrics", "--in", str(DATA / "p3.tsv"), "--metric", "density"])
+    assert exc_info.value.code == 2
+    assert "unrecognized arguments: --metric density" in capsys.readouterr().err
+
+
+# argv that reaches each analysis subcommand's table check, which runs before
+# any input file is read
+FLAG_ARGV = {
+    "metrics": ["--in", "unread.tsv"],
+    "smallworld": ["--in", "unread.tsv"],
+    "community": ["--in", "unread.tsv"],
+    "compare": ["--group-a", "a.csv", "--group-b", "b.csv", "--t-threshold", "2"],
+    "ergm": ["--in", "unread.tsv"],
+    "twopart": ["--matrices", "unread.csv"],
+    "bootstrap": ["--in", "unread.csv", "--metric", "density"],
+}
+
+
+def out_of_range_flags():
+    """(subcommand, parameter, value) just outside each bound or choice list
+    of every table flag; NaN too for each bounded number."""
+    cases = []
+    for command, names in _TABLE_FLAGS.items():
+        table = {**_CONFIG_PARAMS, **ANALYSIS_PARAMS[command]}
+        for name in names:
+            param = table[name]
+            number = param.kind == "number"
+            if param.choices:
+                cases.append((command, name, "bogus"))
+            if param.low is not None:
+                cases.append((command, name, str(param.low if number else param.low - 1)))
+            if param.high is not None:
+                cases.append((command, name, str(param.high if number else param.high + 1)))
+            if number and (param.low, param.high) != (None, None):
+                cases.append((command, name, "nan"))
+    return cases
+
+
+@pytest.mark.parametrize("command, name, value", out_of_range_flags())
+def test_every_table_flag_rejects_a_value_outside_the_table(capsys, command, name, value):
+    flag = "--" + name.replace("_", "-")
+    argv = [command, *FLAG_ARGV[command], flag, value]
+    if value == "bogus":  # argparse holds the choices
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert f"argument {flag}: invalid choice: 'bogus'" in capsys.readouterr().err
+        return
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "validation"
+    assert any(p.startswith(f"{command}: {name} must be") for p in report["problems"])
+
+
+def test_metrics_defaults_to_the_table_metrics(capsys):
+    code, out, _ = run_cli(capsys, "metrics", "--in", DATA / "p3.tsv")
+    assert code == 0
+    assert sorted(json.loads(out)) == sorted(ANALYSIS_PARAMS["metrics"]["metrics"].default)
 
 
 @pytest.mark.parametrize(
@@ -258,7 +334,7 @@ def test_compare_nbs_on_sample_groups(capsys):
     + [(["--method", "spc", "--t-threshold", "2.5", "--radius", r], "radius") for r in ("-1", "0", "nan")],
 )
 def test_compare_rejects_a_threshold_or_radius_that_is_not_positive(capsys, flags, needle):
-    # the pipeline rejects these through its bounds; NaN would write "t_threshold": NaN
+    # checked by the pipeline's bounds; NaN would write "t_threshold": NaN
     groups_a = [DATA / f"group_a_{i}.csv" for i in range(6)]
     groups_b = [DATA / f"group_b_{i}.csv" for i in range(6)]
     code, out, err = run_cli(
@@ -266,10 +342,35 @@ def test_compare_rejects_a_threshold_or_radius_that_is_not_positive(capsys, flag
         "compare", "--group-a", *groups_a, "--group-b", *groups_b,
         "--coordinates", DATA / "coordinates.csv", *flags,
     )
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     report = json.loads(err)
-    assert report["error"] == "ValueError"
-    assert report["message"].startswith(f"{needle} must be > 0")
+    assert report["error"] == "validation"
+    assert [p for p in report["problems"] if p.startswith(f"compare: {needle} must be > 0")]
+
+
+@pytest.mark.parametrize("method", ["nbs", "spc"])
+def test_compare_needs_a_t_threshold_as_a_config_does(capsys, method):
+    groups = [DATA / f"group_{g}_{i}.csv" for g in "ab" for i in range(3)]
+    code, out, err = run_cli(
+        capsys,
+        "compare", "--group-a", *groups[:3], "--group-b", *groups[3:],
+        "--coordinates", DATA / "coordinates.csv", "--method", method,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "validation", "problems": [f"compare: {method} needs 't_threshold'"]}
+
+
+def test_compare_edgewise_prints_the_edge_test_result(capsys):
+    groups_a = [DATA / f"group_a_{i}.csv" for i in range(6)]
+    groups_b = [DATA / f"group_b_{i}.csv" for i in range(6)]
+    code, out, _ = run_cli(
+        capsys, "compare", "--group-a", *groups_a, "--group-b", *groups_b, "--method", "edgewise"
+    )
+    assert code == 0
+    expected = groupcompare.edgewise_compare(
+        [load_connection_matrix(p) for p in groups_a], [load_connection_matrix(p) for p in groups_b]
+    )
+    assert out == to_json(expected)
 
 
 def test_compare_edgewise_reports_tables(capsys):
@@ -298,6 +399,15 @@ def test_ergm_fit_and_simulate(capsys):
     assert len(report["simulated_stats"]) == 3
 
 
+def test_ergm_simulate_zero_networks_is_an_error(capsys):
+    # zero is a count like any other, not a request to skip simulation
+    code, out, err = run_cli(
+        capsys, "ergm", "--in", DATA / "p3.tsv", "--terms", "edges", "--simulate", "0"
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "count must be positive"}
+
+
 def test_twopart_subcommand(capsys):
     mats = [DATA / f"group_a_{i}.csv" for i in range(3)]
     code, out, _ = run_cli(capsys, "twopart", "--matrices", *mats, "--maxfev", "600")
@@ -312,9 +422,9 @@ def test_twopart_rejects_fewer_than_one_evaluation(capsys):
     # the pipeline's maxfev bound is 1; below it the CLI reported the start values
     mats = [DATA / f"group_a_{i}.csv" for i in range(3)]
     code, out, err = run_cli(capsys, "twopart", "--matrices", *mats, "--maxfev", "0")
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     report = json.loads(err)
-    assert report == {"error": "ValueError", "message": "maxfev must be >= 1, got 0"}
+    assert report == {"error": "validation", "problems": ["twopart: maxfev must be >= 1, got 0"]}
 
 
 def test_bootstrap_subcommand(capsys):
@@ -623,22 +733,27 @@ def test_estimate_unknown_param_exits_1(capsys, flags, measure, key):
 
 
 @pytest.mark.parametrize(
-    "threshold, needle",
+    "threshold, code, needle",
     [
-        ('{"method": "fixed_degree", "k": 3}', "no parameter ['k']"),
-        ("[1, 2]", "must be an object"),
-        ('{"method": "fixed_degree", "k_target": "3"}', "threshold spec"),
+        ('{"method": "fixed_degree", "k": 3}', 2, "no parameter ['k']"),
+        ("[1, 2]", 2, "must be an object"),
+        ('{"method": "fixed_degree", "k_target": "3"}', 1, "threshold spec"),
     ],
+    ids=["unknown_key", "not_an_object", "wrong_type"],
 )
-def test_bootstrap_bad_threshold_spec_exits_1(capsys, threshold, needle):
-    code, out, err = run_cli(
+def test_bootstrap_bad_threshold_spec_exit_code(capsys, threshold, code, needle):
+    # spec_problems finds the first two before any work, as in a pipeline config
+    got, out, err = run_cli(
         capsys,
         "bootstrap", "--in", DATA / "subject_0.csv", "--metric", "density",
         "--replicates", "10", "--threshold", threshold,
     )
-    assert code == 1 and out == ""
+    assert got == code and out == ""
     report = json.loads(err)
-    assert report["error"] == "ValueError" and needle in report["message"]
+    if code == 2:
+        assert report["error"] == "validation" and any(needle in p for p in report["problems"])
+    else:
+        assert report["error"] == "ValueError" and needle in report["message"]
 
 
 def read_reports(out_dir):

@@ -92,8 +92,8 @@ def _read_coordinates(path, monkeypatch, capsys):
         cm = path.parent / f"group_{k}.csv"
         ConnectionMatrix(M * (1 + 0.1 * k), "correlation").save(cm)
         groups.append(str(cm))
-    argv = ["compare", "--method", "spc", "--coordinates", str(path), "--permutations", "100",
-            "--group-a", *groups[:2], "--group-b", *groups[2:]]
+    argv = ["compare", "--method", "spc", "--t-threshold", "2", "--coordinates", str(path),
+            "--permutations", "100", "--group-a", *groups[:2], "--group-b", *groups[2:]]
     code = main(argv)
     err = capsys.readouterr().err
     if code != 0:

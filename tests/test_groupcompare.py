@@ -260,6 +260,22 @@ def test_permutation_count_guards():
         spc(ga, gb, t_threshold=3.0, node_adjacency=np.zeros((5, 5), bool), permutations=50)
 
 
+@pytest.mark.parametrize("t_threshold", [float("nan"), -1.0, 0.0])
+def test_t_threshold_must_be_positive(t_threshold):
+    # NaN would pass no edge and write "t_threshold": NaN into the report
+    ga, gb = make_groups(5, subjects=5, seed=10)
+    with pytest.raises(ValueError, match="^t_threshold must be > 0"):
+        nbs(ga, gb, t_threshold=t_threshold, permutations=100)
+    with pytest.raises(ValueError, match="^t_threshold must be > 0"):
+        spc(ga, gb, t_threshold=t_threshold, node_adjacency=np.ones((5, 5), bool), permutations=100)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan")])
+def test_adjacency_radius_must_be_positive(radius):
+    with pytest.raises(ValueError, match="^radius must be > 0"):
+        adjacency_from_coordinates(SCENARIO_COORDS, radius=radius)
+
+
 def test_spc_adjacency_shape_guard():
     ga, gb = make_groups(5, subjects=5, seed=11)
     with pytest.raises(ValueError, match="node adjacency"):

@@ -78,6 +78,9 @@ def test_significance_guards():
         )
     with pytest.raises(ValueError, match="series_length"):
         apply_fixed_threshold(cm_from(vals), criterion="significance")
+    for alpha in (0, 1, 5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            apply_fixed_threshold(cm_from(vals), criterion="significance", alpha=alpha, series_length=100)
 
 
 def test_min_connected():
