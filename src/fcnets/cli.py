@@ -114,6 +114,8 @@ def _load_group(paths):
 
 
 def _cmd_compare(args):
+    if args.method == "spc" and not args.coordinates:
+        raise ConfigError(["compare: spc needs node coordinates (--coordinates)"])
     group_a, group_b = _load_group(args.group_a), _load_group(args.group_b)
     if args.method == "edgewise":
         return groupcompare.edgewise_compare(group_a, group_b, correction=args.correction)
@@ -125,8 +127,6 @@ def _cmd_compare(args):
     }
     if args.method == "nbs":
         return groupcompare.nbs(group_a, group_b, **test)
-    if not args.coordinates:
-        raise ValueError("spc needs --coordinates (CSV of node positions)")
     coords, _ = _parse_csv_matrix(args.coordinates)
     adjacency = groupcompare.adjacency_from_coordinates(coords, radius=args.radius)
     return groupcompare.spc(group_a, group_b, node_adjacency=adjacency, **test)

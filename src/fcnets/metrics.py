@@ -14,13 +14,13 @@ graphs held as the diagonal blocks of one network search together
 Triangles are popcounts of adjacency-row intersections, and local efficiency
 runs the same search on every node's neighbour subgraph at once, whose edges
 are those intersections. All of them count exact integers. Weighted path
-length, the weighted efficiencies and closeness take scipy's shortest-path
-distances (Dijkstra).
+length, the weighted efficiencies, closeness and weighted betweenness take
+scipy's shortest-path distances (Dijkstra). Betweenness runs Brandes'
+accumulation over the shortest-path slots of a block of sources at once.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -394,130 +394,93 @@ def path_length(g):
 
 
 # Bounds b * (n + 2m) for a block of b sources: the flat per-(source, node)
-# state is b * n entries and one level expands at most b * 2m CSR slots.
+# state is b * n entries and the shortest-path slots are at most b * 2m.
 _BRANDES_BLOCK = 1 << 18
 
 
-def _brandes_levels(g):
-    """Unweighted Brandes over every source at once, level by level.
-
-    Sources run in blocks; state is flat arrays indexed s * n + v (hop
-    distance, path count sigma, dependency delta). A forward level expands
-    the whole frontier through the CSR slots and sums sigma over each
-    successor with bincount; a backward level does the same for delta and
-    the edge shares, keyed by the edge id of each slot. Work is O(n m), as
-    in one breadth-first search per source. Returns raw (unhalved) node
-    and edge accumulations, the latter in pair order.
-    """
-    n, m = g.n, g.edge_count
-    indptr, nbr, eid = _csr_edges(g)
-    node_bc = np.zeros(n)
-    edge_bc = np.zeros(m)
-
-    def expand(front):
-        """Frontier position, CSR slot and flat successor index of every slot."""
+def _hop_steps(n, indptr, nbr, eid, roots):
+    """Shortest-path slots from the flat roots s * n + s, one step per hop
+    distance: (predecessor, successor, edge id) arrays over flat (source,
+    node) indices. Each level expands the whole frontier through the CSR
+    slots and keeps those whose successor lies one hop further."""
+    dist = np.full(roots.size * n, -1, dtype=np.int32)
+    dist[roots] = 0
+    front, d, steps = roots, 1, []
+    while front.size:
         v = front % n
         start = indptr[v]
         count = indptr[v + 1] - start
         pos = np.repeat(np.arange(front.size), count)
         slot = np.arange(pos.size) + np.repeat(start - (np.cumsum(count) - count), count)
-        return pos, slot, (front - v)[pos] + nbr[slot]
-
-    per_block = max(1, _BRANDES_BLOCK // max(1, n + 2 * m))
-    for first in range(0, n, per_block):
-        sources = np.arange(first, min(n, first + per_block))
-        size = sources.size * n
-        roots = np.arange(sources.size) * n + sources
-        dist = np.full(size, -1, dtype=np.int32)
-        sigma = np.zeros(size)
-        delta = np.zeros(size)
-        dist[roots] = 0
-        sigma[roots] = 1.0
-        levels = [roots]
-        while levels[-1].size:
-            front, d = levels[-1], len(levels)
-            pos, _, succ = expand(front)
-            seen = dist[succ]
-            fresh = seen < 0
-            dist[succ[fresh]] = d
-            on_path = fresh | (seen == d)
-            # only level-d entries receive counts, and their sigma starts at 0
-            sigma += np.bincount(succ[on_path], weights=sigma[front[pos[on_path]]], minlength=size)
-            levels.append(np.flatnonzero(dist == d))
-        for d in range(len(levels) - 2, 0, -1):
-            front = levels[d - 1]
-            pos, slot, succ = expand(front)
-            on_path = dist[succ] == d
-            pos, succ = pos[on_path], succ[on_path]
-            share = sigma[front[pos]] / sigma[succ] * (1.0 + delta[succ])
-            delta[front] = np.bincount(pos, weights=share, minlength=front.size)
-            edge_bc += np.bincount(eid[slot[on_path]], weights=share, minlength=m)
-        delta[roots] = 0.0
-        node_bc += delta.reshape(sources.size, n).sum(axis=0)
-    return node_bc, edge_bc
+        succ = (front - v)[pos] + nbr[slot]
+        seen = dist[succ]
+        fresh = seen < 0
+        dist[succ[fresh]] = d
+        on_path = fresh | (seen == d)
+        steps.append((front[pos[on_path]], succ[on_path], eid[slot[on_path]]))
+        front = np.flatnonzero(dist == d)
+        d += 1
+    return steps
 
 
-def _brandes_dijkstra(g):
-    """Weighted Brandes, one Dijkstra search per source with 1/weight lengths.
-
-    Returns raw (unhalved) node and edge accumulations, the latter in pair
-    order.
-    """
-    n = g.n
-    indptr, nbr, eid = _csr_edges(g)
-    lengths = 1.0 / g.weights[eid]
-    adj = [
-        list(zip(nbr[lo:hi].tolist(), lengths[lo:hi].tolist(), eid[lo:hi].tolist()))
-        for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())
-    ]
-    node_bc = np.zeros(n)
-    edge_bc = np.zeros(g.edge_count)
-    for s in range(n):
-        sigma = np.zeros(n)
-        sigma[s] = 1.0
-        dist = np.full(n, np.inf)
-        dist[s] = 0.0
-        preds = [[] for _ in range(n)]
-        order = []
-        seen = np.zeros(n, dtype=bool)
-        heap = [(0.0, s)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if seen[v]:
-                continue
-            seen[v] = True
-            order.append(v)
-            for w_, length, e in adj[v]:
-                nd = d + length
-                if nd < dist[w_] - 1e-12:
-                    dist[w_] = nd
-                    sigma[w_] = sigma[v]
-                    preds[w_] = [(v, e)]
-                    heapq.heappush(heap, (nd, w_))
-                elif abs(nd - dist[w_]) <= 1e-12 and not seen[w_]:
-                    sigma[w_] += sigma[v]
-                    preds[w_].append((v, e))
-        delta = np.zeros(n)
-        for v in reversed(order):
-            for p, e in preds[v]:
-                share = sigma[p] / sigma[v] * (1.0 + delta[v])
-                delta[p] += share
-                edge_bc[e] += share
-            if v != s:
-                node_bc[v] += delta[v]
-    return node_bc, edge_bc
+def _dijkstra_steps(n, indptr, nbr, eid, sources, lengths):
+    """Shortest-path slots as in `_hop_steps` with the CSR slot `lengths`,
+    one step per front: front r holds each source's nodes at its r-th
+    smallest distance. Slot (v, w) lies on a shortest path when scipy's
+    Dijkstra distances give a dist[w] - dist[v] > 0 that equals its length
+    within 1e-12, so geodesics that tie up to rounding all count."""
+    tail = np.repeat(np.arange(n), np.diff(indptr))
+    D = _sp(csr_matrix((lengths, nbr, indptr), shape=(n, n)), method="D", directed=False, indices=sources)
+    order = np.argsort(D, axis=1)
+    front = np.empty_like(order)
+    with np.errstate(invalid="ignore"):  # inf - inf between unreached nodes
+        rise = np.diff(np.take_along_axis(D, order, axis=1), axis=1, prepend=0.0) > 0
+        np.put_along_axis(front, order, np.cumsum(rise, axis=1), axis=1)
+        gap = D[:, nbr] - D[:, tail]
+        s, slot = np.nonzero((gap > 0) & (np.abs(gap - lengths) <= 1e-12))
+    key = front[s, nbr[slot]]
+    by_front = np.argsort(key, kind="stable")
+    bounds = np.cumsum(np.bincount(key))[:-1]
+    flat = (s * n + tail[slot], s * n + nbr[slot], eid[slot])
+    return list(zip(*(np.split(x[by_front], bounds) for x in flat)))
 
 
 def _brandes(g):
     """Brandes accumulation; returns (node betweenness, edge betweenness dict).
 
-    Unweighted networks run every source at once, level by level
-    (`_brandes_levels`); weighted ones run one Dijkstra search per source
-    with 1/weight lengths (`_brandes_dijkstra`). Values use the
-    unordered-pair convention (accumulations halved), raw and unnormalized;
-    the edge dict is keyed by (i, j) pairs in pair order.
+    Sources run in blocks, with state in flat arrays indexed s * n + v. A
+    block lists its shortest-path slots in steps of increasing distance
+    (`_hop_steps`, or `_dijkstra_steps` with 1/weight lengths), sums the
+    path counts sigma forward into each step's successors, then the
+    dependencies delta backward into its predecessors and edges. Values use
+    the unordered-pair convention (accumulations halved), raw and
+    unnormalized; the edge dict is keyed by (i, j) pairs in pair order.
     """
-    node_bc, edge_bc = (_brandes_levels if g.weights is None else _brandes_dijkstra)(g)
+    n, m = g.n, g.edge_count
+    indptr, nbr, eid = _csr_edges(g)
+    node_bc = np.zeros(n)
+    edge_bc = np.zeros(m)
+    per_block = max(1, _BRANDES_BLOCK // max(1, n + 2 * m))
+    for first in range(0, n, per_block):
+        sources = np.arange(first, min(n, first + per_block))
+        size = sources.size * n
+        roots = np.arange(sources.size) * n + sources
+        if g.weights is None:
+            steps = _hop_steps(n, indptr, nbr, eid, roots)
+        else:
+            steps = _dijkstra_steps(n, indptr, nbr, eid, sources, 1.0 / g.weights[eid])
+        sigma = np.zeros(size)
+        sigma[roots] = 1.0
+        for pred, succ, _ in steps:
+            # a step's successors receive counts only there, from sigma 0
+            sigma += np.bincount(succ, weights=sigma[pred], minlength=size)
+        delta = np.zeros(size)
+        for pred, succ, edge in reversed(steps):
+            share = sigma[pred] / sigma[succ] * (1.0 + delta[succ])
+            delta += np.bincount(pred, weights=share, minlength=size)
+            edge_bc += np.bincount(edge, weights=share, minlength=m)
+        delta[roots] = 0.0
+        node_bc += delta.reshape(sources.size, n).sum(axis=0)
     return node_bc / 2.0, dict(zip(map(tuple, g.pairs.tolist()), (edge_bc / 2.0).tolist()))
 
 

@@ -104,6 +104,7 @@ _CONFIG_PARAMS = {
     "workers": Param("int", None, low=1),
     "out_dir": Param("str", None),
 }
+_CONFIG_KEYS = ("manifest", "estimator", "threshold", "bandpass", "analyses", *_CONFIG_PARAMS)
 
 
 class ConfigError(ValueError):
@@ -156,6 +157,10 @@ def _checked_params(tag, table, params, subject_count):
     return checked, problems
 
 
+def _unknown_keys(tag, obj, known):
+    return [f"{tag}: unknown key {k!r}; known: {list(known)}" for k in obj if k not in known]
+
+
 def _value_problems(label, param, value, subject_count):
     """What is wrong with one parameter value: a list of at most one problem."""
     types, one, many = _KINDS[param.kind]
@@ -203,9 +208,9 @@ def _nested_problems(tag, checked):
 def validate_config(raw, base_dir=".", out_dir=None):
     """Check every field of a raw config dict; raise ConfigError listing all
     problems, or return a PipelineConfig."""
-    problems = []
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
+    problems = _unknown_keys("config", raw, _CONFIG_KEYS)
 
     manifest = raw.get("manifest")
     manifest_doc = None
@@ -236,6 +241,7 @@ def validate_config(raw, base_dir=".", out_dir=None):
     if not isinstance(est, dict):
         problems.append(f"estimator must be an object or a name, got {est!r}")
     else:
+        problems += _unknown_keys("estimator", est, ("name", "params"))
         est_name = est.get("name")
         if est_name not in ESTIMATOR_NAMES:
             problems.append(f"estimator {est_name!r} unknown; choose from {ESTIMATOR_NAMES}")
@@ -268,6 +274,7 @@ def validate_config(raw, base_dir=".", out_dir=None):
                 f"unknown; choose from {ANALYSIS_TYPES}"
             )
             continue
+        problems += _unknown_keys(tag, spec, ("type", "params"))
         params = spec.get("params", {})
         if not isinstance(params, dict):
             problems.append(f"{tag}: params must be an object, got {params!r}")
@@ -487,6 +494,7 @@ def run_pipeline(config):
     the other entries of panel.subjects become None, so the group analyses
     run without the estimation input in memory.
     """
+    workers = resolve_workers(config.workers)
     os.makedirs(config.out_dir, exist_ok=True)
     panel = load_manifest(config.manifest)
     if config.bandpass is not None:
@@ -497,7 +505,7 @@ def run_pipeline(config):
     matrices = parallel_map(
         partial(estimate, name=config.estimator, params=est_params),
         panel.subjects,
-        workers=config.workers,
+        workers=workers,
     )
     networks = [apply_spec(cm, config.threshold) for cm in matrices]
     resampled = {params["subject"] for kind, _, params in config.analyses if kind == "bootstrap"}
@@ -537,7 +545,7 @@ def run_pipeline(config):
         "scipy": scipy.__version__,
         "seed": config.seed,
         "stage_seeds": stage_seeds,
-        "workers": resolve_workers(config.workers),
+        "workers": workers,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     write_json(os.path.join(config.out_dir, "provenance.json"), provenance)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -35,13 +36,21 @@ def rng_for(seed, *labels):
 
 
 def resolve_workers(workers=None):
-    """Decide the worker count: explicit argument, else env var, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
+    """Decide the worker count: explicit argument, else the FCNETS_WORKERS
+    environment variable, else 1. A count that is not an integer >= 1
+    raises ValueError."""
+    name, value = "workers", workers
+    if workers is None:
+        name, value = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+        if not value:
+            return 1
+    try:
+        count = int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def parallel_map(fn, items, workers=None):

@@ -63,19 +63,12 @@ def _top_pairs(w, count):
     return keep
 
 
-def _ranked_pairs(vals, n, count=None):
-    """The first `count` (default all) i<j pairs sorted by value desc, ties by
-    (i, j) lexicographic: the stable sort keeps within ties the (i, j) order
-    np.triu_indices yields, and NaN ranks last.
-
-    A prefix does not sort every pair: `_top_pairs` picks it, and only its
-    pairs are sorted.
-    """
+def _ranked_pairs(vals, n):
+    """The i<j pairs sorted by value desc, ties by (i, j) lexicographic: the
+    stable sort keeps within ties the (i, j) order np.triu_indices yields,
+    and NaN ranks last."""
     iu, ju = np.triu_indices(n, 1)
     w = vals[iu, ju]
-    if count is not None:
-        keep = np.flatnonzero(_top_pairs(w[None], count)[0])
-        iu, ju, w = iu[keep], ju[keep], w[keep]
     order = np.argsort(-w, kind="stable")
     return iu[order], ju[order], w[order]
 

@@ -360,6 +360,19 @@ def test_compare_needs_a_t_threshold_as_a_config_does(capsys, method):
     assert json.loads(err) == {"error": "validation", "problems": [f"compare: {method} needs 't_threshold'"]}
 
 
+def test_compare_spc_needs_coordinates_before_reading_a_matrix(tmp_path, capsys):
+    missing = [tmp_path / f"absent_{i}.csv" for i in range(4)]
+    code, out, err = run_cli(
+        capsys,
+        "compare", "--group-a", *missing[:2], "--group-b", *missing[2:],
+        "--method", "spc", "--t-threshold", "2.0",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "validation", "problems": ["compare: spc needs node coordinates (--coordinates)"]
+    }
+
+
 def test_compare_edgewise_prints_the_edge_test_result(capsys):
     groups_a = [DATA / f"group_a_{i}.csv" for i in range(6)]
     groups_b = [DATA / f"group_b_{i}.csv" for i in range(6)]
@@ -492,6 +505,25 @@ def test_pipeline_non_object_field_exits_2(tmp_path, capsys, field, needle):
     report = json.loads(err)
     assert report["error"] == "validation"
     assert any(needle in p for p in report["problems"])
+
+
+@pytest.mark.parametrize(
+    "place, needle",
+    [
+        ("root", "config: unknown key 'sed'"),
+        ("estimator", "estimator: unknown key 'sed'"),
+        ("analysis", "analyses[1]: unknown key 'sed'"),
+    ],
+)
+def test_pipeline_unknown_config_key_exits_2(tmp_path, capsys, place, needle):
+    cfg = json.loads((DATA / "config.json").read_text())
+    cfg["manifest"] = str(DATA / "manifest.json")
+    {"root": cfg, "estimator": cfg["estimator"], "analysis": cfg["analyses"][1]}[place]["sed"] = 5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "pipeline", "--config", path, "--out", tmp_path / "run")
+    assert code == 2 and out == "" and not (tmp_path / "run").exists()
+    assert [p for p in json.loads(err)["problems"] if p.startswith(needle)]
 
 
 NBS = {"method": "nbs", "group_a": [0, 1, 2], "group_b": [3, 4, 5], "t_threshold": 2.0}
@@ -787,6 +819,16 @@ def test_pipeline_runs_and_is_deterministic(tmp_path, capsys, monkeypatch):
     assert code == 0
     for fname in ("metrics.json", "community.json"):
         assert (out1 / fname).read_bytes() == (out3 / fname).read_bytes()
+
+
+def test_pipeline_reports_a_bad_worker_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FCNETS_WORKERS", "abc")
+    run = tmp_path / "run"
+    code, out, err = run_cli(capsys, "pipeline", "--config", DATA / "config.json", "--out", run)
+    assert code == 1 and out == "" and not run.exists()
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "FCNETS_WORKERS must be an integer >= 1, got 'abc'"
+    }
 
 
 def test_pipeline_report_contents(tmp_path, capsys):

@@ -99,5 +99,27 @@ def test_derive_seed_in_range(seed, label):
     assert 0 <= val < 2**64
 
 
+@pytest.mark.parametrize("env", ["abc", "-3", "0", "2.5"])
+def test_resolve_workers_rejects_a_bad_environment_value(monkeypatch, env):
+    monkeypatch.setenv("FCNETS_WORKERS", env)
+    with pytest.raises(ValueError, match=rf"^FCNETS_WORKERS must be an integer >= 1, got '{env}'$"):
+        runtime.resolve_workers()
+    assert runtime.resolve_workers(3) == 3  # an explicit count wins
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_resolve_workers_rejects_an_explicit_count_below_one(monkeypatch, workers):
+    monkeypatch.delenv("FCNETS_WORKERS", raising=False)
+    with pytest.raises(ValueError, match=rf"^workers must be an integer >= 1, got {workers}$"):
+        runtime.resolve_workers(workers)
+
+
+def test_resolve_workers_default_and_environment(monkeypatch):
+    monkeypatch.delenv("FCNETS_WORKERS", raising=False)
+    assert runtime.resolve_workers() == 1
+    monkeypatch.setenv("FCNETS_WORKERS", "4")
+    assert runtime.resolve_workers() == 4
+
+
 def test_parallel_map_empty():
     assert parallel_map(_square, [], workers=4) == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fcnets.estimators import ConnectionMatrix
 from fcnets.thresholding import (
     _ranked_pairs,
+    _top_pairs,
     apply_fixed_degree,
     apply_fixed_density,
     apply_fixed_threshold,
@@ -198,16 +199,20 @@ def test_ranked_pairs_match_the_lexsort_ranking(n):
     with_nan = sym(n, rng)
     with_nan[0, 1] = with_nan[n - 2, n - 1] = np.nan
     cases += [with_nan, np.zeros((n, n)), np.full((n, n), -0.0)]
-    size = n * (n - 1) // 2
+    iu, ju = np.triu_indices(n, 1)
     for vals in cases:
         want = _lexsort_ranking(vals, n)
-        # every prefix, from none of the pairs to all of them, as well as the
-        # full ranking; rounded and zero matrices put ties at the cut
-        for count in [None, *range(size + 1)]:
-            got = _ranked_pairs(vals, n, count)
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a, b[:count])
-            assert np.array_equal(np.signbit(got[2]), np.signbit(want[2][:count]))
+        got = _ranked_pairs(vals, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert np.array_equal(np.signbit(got[2]), np.signbit(want[2]))
+        # `_top_pairs` keeps every prefix, from none of the pairs to all of
+        # them; rounded and zero matrices put ties at the cut
+        w = vals[iu, ju]
+        order = np.lexsort((ju, iu, -w))
+        for count in range(iu.size + 1):
+            kept = np.flatnonzero(_top_pairs(w[None], count)[0])
+            np.testing.assert_array_equal(kept, np.sort(order[:count]))
 
 
 @pytest.mark.parametrize("negatives", ["drop", "absolute"])

@@ -8,7 +8,9 @@ as binary graphs.
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path as sp
 
+from fcnets import metrics
 from fcnets.communities import modularity
 from fcnets.metrics import (
     assortativity,
@@ -104,6 +106,32 @@ def test_betweenness_with_tied_weighted_geodesics(G, seed):
         assert ours[(min(a, b), max(a, b))] == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
+def test_weighted_blocked_sources_match_one_block(monkeypatch):
+    g, G = integer_weighted(nx.watts_strogatz_graph(30, 4, 0.3, seed=2), 0)
+    whole = metrics._brandes(g)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["indices"].tolist())
+        return sp(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_sp", counted)
+    node_nx = nx.betweenness_centrality(G, normalized=False, weight="length")
+    step = g.n + 2 * g.edge_count
+    for sources in (g.n - 1, 7, 1):  # the last block holds 1, 2 and 1 sources
+        monkeypatch.setattr(metrics, "_BRANDES_BLOCK", sources * step)
+        calls.clear()
+        node, edge = metrics._brandes(g)
+        assert calls == [list(range(lo, min(g.n, lo + sources))) for lo in range(0, g.n, sources)]
+        assert np.allclose(node, whole[0], rtol=1e-12, atol=0)
+        assert list(edge) == list(whole[1])
+        assert np.allclose(list(edge.values()), list(whole[1].values()), rtol=1e-12, atol=0)
+        assert np.allclose(node, [node_nx[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
+        calls.clear()
+        metrics._brandes(g.binary())
+        assert calls == []
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_betweenness_and_closeness(seed):
     g, G = random_weighted(seed)
@@ -127,8 +155,16 @@ def test_weighted_clustering_and_local_efficiency(seed):
     expected = nx.clustering(G, weight="weight")
     assert np.allclose(report.per_node, [expected[v] for v in range(g.n)], rtol=1e-12, atol=1e-15)
 
-    per = np.zeros(g.n)
-    for v in range(g.n):
+    per = nx_local_efficiency(G)
+    result = local_efficiency(g)
+    assert np.allclose(result.per_node, per, rtol=1e-12, atol=0)
+    assert result.value == pytest.approx(per.mean(), rel=1e-12)
+
+
+def nx_local_efficiency(G):
+    """Per node, the inverse-distance average of its neighbour subgraph."""
+    per = np.zeros(G.number_of_nodes())
+    for v in G:
         hood = list(G.neighbors(v))
         k = len(hood)
         if k < 2:
@@ -141,9 +177,23 @@ def test_weighted_clustering_and_local_efficiency(seed):
             if t != s
         )
         per[v] = total / (k * (k - 1))
+    return per
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_weighted_local_efficiency_in_small_batches(monkeypatch, seed):
+    g, G = random_weighted(seed)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sp(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_LOCAL_BATCH_NODES", 4)
+    monkeypatch.setattr(metrics, "_sp", counted)
     result = local_efficiency(g)
-    assert np.allclose(result.per_node, per, rtol=1e-12, atol=0)
-    assert result.value == pytest.approx(per.mean(), rel=1e-12)
+    assert np.allclose(result.per_node, nx_local_efficiency(G), rtol=1e-12, atol=0)
+    assert len(calls) > 1  # the batch flushed before the last subgraph
 
 
 @pytest.mark.parametrize("seed", SEEDS)
