@@ -114,8 +114,6 @@ def _load_group(paths):
 
 
 def _cmd_compare(args):
-    if args.method == "spc" and not args.coordinates:
-        raise ConfigError(["compare: spc needs node coordinates (--coordinates)"])
     group_a, group_b = _load_group(args.group_a), _load_group(args.group_b)
     if args.method == "edgewise":
         return groupcompare.edgewise_compare(group_a, group_b, correction=args.correction)
@@ -212,6 +210,8 @@ def _table_values(args):
     given = {name: getattr(args, name) for name in table if hasattr(args, name)}
     checked, problems = _checked_params(args.command, table, given, None)
     problems = problems or _nested_problems(args.command, checked)
+    if checked.get("method") == "spc" and not args.coordinates:
+        problems = [*problems, "compare: spc needs node coordinates (--coordinates)"]
     if problems:
         raise ConfigError(problems)
     return checked

@@ -423,21 +423,23 @@ def _hop_steps(n, indptr, nbr, eid, roots):
     return steps
 
 
-def _dijkstra_steps(n, indptr, nbr, eid, sources, lengths):
-    """Shortest-path slots as in `_hop_steps` with the CSR slot `lengths`,
+def _dijkstra_steps(L, eid, sources):
+    """Shortest-path slots as in `_hop_steps` over the CSR length matrix L,
     one step per front: front r holds each source's nodes at its r-th
     smallest distance. Slot (v, w) lies on a shortest path when scipy's
-    Dijkstra distances give a dist[w] - dist[v] > 0 that equals its length
-    within 1e-12, so geodesics that tie up to rounding all count."""
+    Dijkstra distances have dist[w] > dist[v] and dist[v] + length within
+    1e-12 of dist[w]; the sum is the one Dijkstra stored, so every tree slot
+    matches exactly and geodesics that tie up to rounding all count."""
+    n, indptr, nbr = L.shape[0], L.indptr, L.indices
     tail = np.repeat(np.arange(n), np.diff(indptr))
-    D = _sp(csr_matrix((lengths, nbr, indptr), shape=(n, n)), method="D", directed=False, indices=sources)
+    D = _sp(L, method="D", directed=False, indices=sources)
     order = np.argsort(D, axis=1)
     front = np.empty_like(order)
     with np.errstate(invalid="ignore"):  # inf - inf between unreached nodes
         rise = np.diff(np.take_along_axis(D, order, axis=1), axis=1, prepend=0.0) > 0
         np.put_along_axis(front, order, np.cumsum(rise, axis=1), axis=1)
-        gap = D[:, nbr] - D[:, tail]
-        s, slot = np.nonzero((gap > 0) & (np.abs(gap - lengths) <= 1e-12))
+        ahead = D[:, nbr] > D[:, tail]
+        s, slot = np.nonzero(ahead & (np.abs(D[:, tail] + L.data - D[:, nbr]) <= 1e-12))
     key = front[s, nbr[slot]]
     by_front = np.argsort(key, kind="stable")
     bounds = np.cumsum(np.bincount(key))[:-1]
@@ -458,6 +460,8 @@ def _brandes(g):
     """
     n, m = g.n, g.edge_count
     indptr, nbr, eid = _csr_edges(g)
+    if g.weights is not None:
+        L = _sparse_adj(g, 1.0 / g.weights)
     node_bc = np.zeros(n)
     edge_bc = np.zeros(m)
     per_block = max(1, _BRANDES_BLOCK // max(1, n + 2 * m))
@@ -468,7 +472,7 @@ def _brandes(g):
         if g.weights is None:
             steps = _hop_steps(n, indptr, nbr, eid, roots)
         else:
-            steps = _dijkstra_steps(n, indptr, nbr, eid, sources, 1.0 / g.weights[eid])
+            steps = _dijkstra_steps(L, eid, sources)
         sigma = np.zeros(size)
         sigma[roots] = 1.0
         for pred, succ, _ in steps:

@@ -360,17 +360,25 @@ def test_compare_needs_a_t_threshold_as_a_config_does(capsys, method):
     assert json.loads(err) == {"error": "validation", "problems": [f"compare: {method} needs 't_threshold'"]}
 
 
-def test_compare_spc_needs_coordinates_before_reading_a_matrix(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, problems",
+    [
+        (["--t-threshold", "2.0"], ["compare: spc needs node coordinates (--coordinates)"]),
+        (
+            [],
+            ["compare: spc needs 't_threshold'", "compare: spc needs node coordinates (--coordinates)"],
+        ),
+    ],
+    ids=["coordinates", "both"],
+)
+def test_compare_spc_needs_coordinates_before_reading_a_matrix(tmp_path, capsys, flags, problems):
     missing = [tmp_path / f"absent_{i}.csv" for i in range(4)]
     code, out, err = run_cli(
         capsys,
-        "compare", "--group-a", *missing[:2], "--group-b", *missing[2:],
-        "--method", "spc", "--t-threshold", "2.0",
+        "compare", "--group-a", *missing[:2], "--group-b", *missing[2:], "--method", "spc", *flags,
     )
     assert code == 2 and out == ""
-    assert json.loads(err) == {
-        "error": "validation", "problems": ["compare: spc needs node coordinates (--coordinates)"]
-    }
+    assert json.loads(err) == {"error": "validation", "problems": problems}
 
 
 def test_compare_edgewise_prints_the_edge_test_result(capsys):

@@ -106,6 +106,27 @@ def test_betweenness_with_tied_weighted_geodesics(G, seed):
         assert ours[(min(a, b), max(a, b))] == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_betweenness_with_tiny_weights(seed):
+    """Weights near 1e-5 put distances near 1e6, where one rounding of a
+    distance exceeds 1e-12: each shortest-path tree edge must still count."""
+    rng = np.random.default_rng(seed)
+    G = nx.gnp_random_graph(40, 0.06, seed=seed)
+    G.add_edges_from(zip(range(39), range(1, 40)))  # a path keeps it connected
+    w = 1e-5 * rng.uniform(0.1, 3.0, G.number_of_edges())
+    triples = [(a, b, x) for (a, b), x in zip(G.edges(), w.tolist())]
+    for a, b, x in triples:
+        G[a][b].update(weight=x, length=1.0 / x)
+    g = WeightedNetwork(G.number_of_nodes(), triples)
+    ours, edge = metrics._brandes(g)
+    assert not np.isnan(ours).any() and not np.isnan(list(edge.values())).any()
+    node = nx.betweenness_centrality(G, normalized=False, weight="length")
+    assert np.allclose(ours, [node[v] for v in range(g.n)], rtol=1e-12, atol=1e-12)
+    expected = nx.edge_betweenness_centrality(G, normalized=False, weight="length")
+    for (a, b), value in expected.items():
+        assert edge[(min(a, b), max(a, b))] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
 def test_weighted_blocked_sources_match_one_block(monkeypatch):
     g, G = integer_weighted(nx.watts_strogatz_graph(30, 4, 0.3, seed=2), 0)
     whole = metrics._brandes(g)
